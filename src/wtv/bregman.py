@@ -9,12 +9,16 @@ Bregman variables.  Each outer sweep solves the linear system
 
     (I - beta*theta*Lap_w) U = v + beta*theta*(div of auxiliary residuals)
 
-then shrinks.  Two interchangeable linear solvers are provided:
+then shrinks.  The right-hand side is built once per linear solve.  Each
+iterative solver runs on a prepared system, built once per weight field,
+that holds the beta*theta-scaled five-point stencil.  Two interchangeable
+linear solvers are provided:
 
-* fwsb_linear_solve: fixed-point iteration from the identity splitting of
-  the system matrix.  Every update is a couple of weighted difference
-  applications, so it vectorises completely; it contracts exactly when
-  beta*theta stays below 1/||Lap_w||_inf, which theta_bound supplies.
+* fwsb_linear_solve: fixed-point iteration X <- c + beta*theta*Lap_w X
+  from the identity splitting of the system matrix, with c the right-hand
+  side.  Each update applies the precomputed stencil (FwsbSystem) in a few
+  contiguous numpy calls; it contracts exactly when beta*theta stays below
+  1/||Lap_w||_inf, which FwsbSystem checks against theta_bound.
 * gauss_seidel_solve: classic forward Gauss-Seidel sweeps in lexicographic
   pixel order.  The system is strictly diagonally dominant for any
   theta > 0, so the sweeps always converge.  Within a sweep pixel (i, j)
@@ -49,6 +53,7 @@ from .grid import (
 __all__ = [
     "BregmanParams",
     "BregmanState",
+    "FwsbSystem",
     "GaussSeidelSystem",
     "soft",
     "cut",
@@ -138,8 +143,49 @@ def _rel_change_done(diff_norm: float, ref_norm: float, tau: float) -> bool:
     return diff_norm <= tau * ref_norm
 
 
-def _rhs_fields(state: BregmanState):
-    return state.dx - state.ex, state.dy - state.ey
+def _rhs(v: np.ndarray, state: BregmanState, w: WeightField, p: BregmanParams):
+    """Right-hand side v + beta*theta*div_w(dx - ex, dy - ey) of the linear system."""
+    return v + p.beta * p.theta * div_w(state.dx - state.ex, state.dy - state.ey, w)
+
+
+class FwsbSystem:
+    """Five-point system data reused across fast-splitting solves.
+
+    Holds the beta*theta-scaled neighbour coefficients (east, west, south,
+    north) and the scaled diagonal sum of one weight field, on the
+    flattened image.  There the neighbours of pixel k sit at k+1, k-1, k+n
+    and k-n, so every stencil term is one contiguous product; a term that
+    would wrap across a row end has a zero coefficient.  Building it checks
+    theta < theta_bound(w, beta), which makes the fixed-point iteration a
+    contraction, and raises ConfigError otherwise.
+    """
+
+    def __init__(self, w: WeightField, beta: float, theta: float):
+        bound = theta_bound(w, beta)
+        if not theta < bound:
+            raise ConfigError(
+                f"theta={theta:.6g} is not below the contraction bound {bound:.6g}"
+            )
+        n = w.n
+        bt = beta * theta
+        ce, cw, cs, cn = (bt * c.ravel() for c in _stencil_coeffs(w))
+        self.diag = ce + cw + cs + cn
+        # (coefficient, pixels updated, neighbours read) per direction
+        self.neighbours = (
+            (ce[:-1], slice(None, -1), slice(1, None)),
+            (cw[1:], slice(1, None), slice(None, -1)),
+            (cs[:-n], slice(None, -n), slice(n, None)),
+            (cn[n:], slice(n, None), slice(None, -n)),
+        )
+
+    def apply(self, c: np.ndarray, x: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+        """out <- c + beta*theta*Lap_w x on flattened arrays; tmp is scratch."""
+        np.multiply(self.diag, x, out=out)
+        np.subtract(c, out, out=out)
+        for coef, dst, src in self.neighbours:
+            t = tmp[dst]
+            np.multiply(coef, x[src], out=t)
+            out[dst] += t
 
 
 def fwsb_linear_solve(
@@ -148,36 +194,36 @@ def fwsb_linear_solve(
     w: WeightField,
     p: BregmanParams,
     residuals: list | None = None,
+    system: FwsbSystem | None = None,
 ):
-    """Fixed-point solve of (I - beta*theta*Lap_w) X = b, fully vectorised.
+    """Fixed-point solve of (I - beta*theta*Lap_w) X = c, fully vectorised.
 
     Splitting the system matrix across the identity turns the solve into
-    X <- b + beta*theta*Lap_w X, evaluated matrix-free through grad_w and
-    div_w.  Requires theta < theta_bound(w, beta), which makes the
-    iteration map a contraction.  Warm-starts from state.u.  When a list is
-    passed as residuals, the per-iteration change norms are appended; for
-    this splitting the change X_{m+1} - X_m literally equals b - A X_m, so
-    they double as residual norms.  Returns (solution, iterations).
+    X <- c + beta*theta*Lap_w X.  The right-hand side c is built once per
+    solve; each iteration applies the precomputed stencil of system, which
+    is built from w, p.beta and p.theta when not given.  Requires
+    theta < theta_bound(w, beta), which makes the iteration map a
+    contraction.  Warm-starts from state.u.  When a list is passed as
+    residuals, the per-iteration change norms are appended; for this
+    splitting the change X_{m+1} - X_m literally equals c - A X_m, so they
+    double as residual norms.  Returns (solution, iterations).
     """
-    bound = theta_bound(w, p.beta)
-    if not p.theta < bound:
-        raise ConfigError(
-            f"theta={p.theta:.6g} is not below the contraction bound {bound:.6g}"
-        )
-    bt = p.beta * p.theta
-    rx, ry = _rhs_fields(state)
-    x = state.u.copy()
+    if system is None:
+        system = FwsbSystem(w, p.beta, p.theta)
+    c = _rhs(v, state, w, p).ravel()
+    x = state.u.flatten()
+    x_new, tmp = np.empty_like(x), np.empty_like(x)
     for m in range(1, p.max_inner + 1):
-        gx, gy = grad_w(x, w)
-        x_new = v + bt * div_w(rx - gx, ry - gy, w)
-        diff = float(np.linalg.norm(x_new - x))
+        system.apply(c, x, x_new, tmp)
+        np.subtract(x_new, x, out=tmp)
+        diff = float(np.linalg.norm(tmp))
         if residuals is not None:
             residuals.append(diff)
         x_norm = float(np.linalg.norm(x))
-        x = x_new
+        x, x_new = x_new, x
         if _rel_change_done(diff, x_norm, p.tau):
-            return x, m
-    return x, p.max_inner
+            return x.reshape(v.shape), m
+    return x.reshape(v.shape), p.max_inner
 
 
 def _sheared_image(plane: np.ndarray) -> np.ndarray:
@@ -276,9 +322,7 @@ def gauss_seidel_solve(
     if system is None:
         system = GaussSeidelSystem(w, p.beta, p.theta)
     n = system.n
-    bt = p.beta * p.theta
-    rx, ry = _rhs_fields(state)
-    b = v + bt * div_w(rx, ry, w)
+    b = _rhs(v, state, w, p)
     prev = state.u.ravel()
     for m, cur in zip(range(1, p.max_inner + 1), system.sweeps(b, state.u)):
         diff = float(np.linalg.norm(cur - prev))
@@ -297,10 +341,7 @@ def direct_solve(
 ):
     """Dense factorisation solve of the same system; oracle, gated to n <= 32."""
     a = dense.system_matrix(w, p.beta, p.theta)
-    bt = p.beta * p.theta
-    rx, ry = _rhs_fields(state)
-    b = (v + bt * div_w(rx, ry, w)).ravel()
-    x = np.linalg.solve(a, b)
+    x = np.linalg.solve(a, _rhs(v, state, w, p).ravel())
     return x.reshape(v.shape), 1
 
 
@@ -316,19 +357,21 @@ def wsb_solve(
     w: WeightField,
     p: BregmanParams,
     inner: str = "fwsb",
-    gs_system: GaussSeidelSystem | None = None,
+    system: FwsbSystem | GaussSeidelSystem | None = None,
 ):
     """Split-Bregman loop for the backward subproblem.
 
     Starts from U = v with zero auxiliary and Bregman fields, alternates the
     linear solve with soft/clamp shrinkage of the shifted differences, and
     stops once U's relative change falls below tau (or max_outer is hit).
-    Returns (U, total inner iterations, outer sweeps).
+    system is the inner solver's prepared system for w, p.beta and p.theta
+    (FwsbSystem or GaussSeidelSystem); when it is None, one is built here
+    for the whole loop.  Returns (U, total inner iterations, outer sweeps).
     """
     if inner not in INNER_SOLVERS:
         raise ConfigError(f"unknown inner solver {inner!r}")
-    if inner == "gauss_seidel" and gs_system is None:
-        gs_system = GaussSeidelSystem(w, p.beta, p.theta)
+    if system is None and inner != "direct":
+        system = (FwsbSystem if inner == "fwsb" else GaussSeidelSystem)(w, p.beta, p.theta)
     lvl = p.shrink_threshold
     state = BregmanState.fresh(v)
     total_inner = 0
@@ -336,9 +379,9 @@ def wsb_solve(
     for outer in range(1, p.max_outer + 1):
         u_old = state.u
         if inner == "fwsb":
-            x, m = fwsb_linear_solve(v, state, w, p)
+            x, m = fwsb_linear_solve(v, state, w, p, system=system)
         elif inner == "gauss_seidel":
-            x, m = gauss_seidel_solve(v, state, w, p, system=gs_system)
+            x, m = gauss_seidel_solve(v, state, w, p, system=system)
         else:
             x, m = direct_solve(v, state, w, p)
         total_inner += m

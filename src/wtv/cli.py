@@ -8,9 +8,9 @@ for the key reference.  Verbs:
     mask --lines L --n N --out F write a radial sampling mask
     fixtures --out DIR           export the bundled test images
 
-Exit codes: 0 success, 2 bad configuration, 3 every solver diverged,
-4 file I/O failure.  Relative output directories are resolved against
-$WTV_OUTPUT_ROOT when it is set.
+Exit codes: 0 success, 2 bad configuration, 3 every solver diverged (run)
+or a solve diverged (sweep), 4 file I/O failure.  Relative output
+directories are resolved against $WTV_OUTPUT_ROOT when it is set.
 """
 
 from __future__ import annotations
@@ -378,6 +378,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except DivergenceError as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -10,11 +10,18 @@ t_n = (n + a + 1)/a.  The gradient step size beta must stay below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bregman import BregmanParams, GaussSeidelSystem, INNER_SOLVERS, theta_bound, wsb_solve
+from .bregman import (
+    INNER_SOLVERS,
+    BregmanParams,
+    FwsbSystem,
+    GaussSeidelSystem,
+    theta_bound,
+    wsb_solve,
+)
 from .errors import ConfigError, DivergenceError
 from .grid import WeightField, unit_weights, weighted_tv
 from .metrics import Stopwatch, psnr
@@ -158,6 +165,28 @@ def _build_weights(u: np.ndarray, cfg: SolverConfig, mu: float | None):
     return w, mu
 
 
+def _prepare_backward(w: WeightField, cfg: SolverConfig, lam: float):
+    """Bregman settings and the inner solver's system for one weight field.
+
+    theta defaults to THETA_SAFETY times the bound for w.  The system is
+    None for the dense oracle, which assembles its matrix per solve.
+    """
+    theta = cfg.theta if cfg.theta is not None else THETA_SAFETY * theta_bound(w, cfg.beta)
+    p = BregmanParams(
+        lam=lam,
+        theta=theta,
+        beta=cfg.beta,
+        tau=cfg.tau,
+        max_outer=cfg.max_outer,
+        max_inner=cfg.max_inner,
+    )
+    if cfg.inner == "fwsb":
+        return p, FwsbSystem(w, cfg.beta, theta)
+    if cfg.inner == "gauss_seidel":
+        return p, GaussSeidelSystem(w, cfg.beta, theta)
+    return p, None
+
+
 def afb_solve(
     model: ForwardModel,
     z: np.ndarray,
@@ -183,18 +212,7 @@ def afb_solve(
         u = model.adjoint(z)
         lam = cfg.lam if cfg.lam is not None else cfg.r0 * float(np.abs(u).sum())
         w, mu = _build_weights(u, cfg, None)
-        theta = cfg.theta if cfg.theta is not None else THETA_SAFETY * theta_bound(w, cfg.beta)
-        params = BregmanParams(
-            lam=lam,
-            theta=theta,
-            beta=cfg.beta,
-            tau=cfg.tau,
-            max_outer=cfg.max_outer,
-            max_inner=cfg.max_inner,
-        )
-        gs_system = (
-            GaussSeidelSystem(w, cfg.beta, theta) if cfg.inner == "gauss_seidel" else None
-        )
+        params, system = _prepare_backward(w, cfg, lam)
         u_tilde_prev = u
 
     trace = RunTrace()
@@ -216,16 +234,9 @@ def afb_solve(
         with sw.scope():
             if cfg.weight_mode == "adaptive" and it > 1:
                 w, mu = _build_weights(u, cfg, mu)
-                theta = (
-                    cfg.theta
-                    if cfg.theta is not None
-                    else THETA_SAFETY * theta_bound(w, cfg.beta)
-                )
-                params = replace(params, theta=theta)
-                if gs_system is not None:
-                    gs_system = GaussSeidelSystem(w, cfg.beta, theta)
+                params, system = _prepare_backward(w, cfg, lam)
             v = forward_step(u, model, z, cfg.beta)
-            u_tilde, m_inner, _ = wsb_solve(v, w, params, cfg.inner, gs_system)
+            u_tilde, m_inner, _ = wsb_solve(v, w, params, cfg.inner, system)
             alpha = 0.0 if cfg.no_accel else fista_alpha(it, cfg.a)
             u_new = u_tilde + alpha * (u_tilde - u_tilde_prev)
             if not np.all(np.isfinite(u_new)):

@@ -1,6 +1,18 @@
-"""Shared fixtures: seeded RNGs and small random problem instances."""
+"""Shared fixtures: seeded RNGs and small random problem instances.
 
-import numpy as np
+BLAS runs on one thread for the whole session.  The variables must be set
+before numpy loads, so they come first here.  On a 2-vCPU machine a cold
+multi-threaded OpenBLAS pool took 131-147 ms per 256x256 dense solve
+(1.1-1.7 ms warm); that cost, not the code under test, would decide the
+wall-clock bounds of the acceptance criteria.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 
 from wtv.grid import WeightField

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wtv.bregman import (
     BregmanParams,
     BregmanState,
+    FwsbSystem,
     GaussSeidelSystem,
     cut,
     direct_solve,
@@ -97,6 +98,21 @@ def _random_state(rng, n):
     )
 
 
+def _reference_fwsb(v, state, w, p):
+    """The fixed-point iteration through grad_w and div_w, with the solver's stopping rule."""
+    bt = p.beta * p.theta
+    rx, ry = state.dx - state.ex, state.dy - state.ey
+    x = state.u.copy()
+    for m in range(1, p.max_inner + 1):
+        gx, gy = grad_w(x, w)
+        x_new = v + bt * div_w(rx - gx, ry - gy, w)
+        diff, ref = np.linalg.norm(x_new - x), np.linalg.norm(x)
+        x = x_new
+        if (diff <= p.tau * ref) if ref >= 1e-14 else (diff <= p.tau):
+            break
+    return x, m
+
+
 def _reference_gauss_seidel(v, state, w, p):
     """Lexicographic Gauss-Seidel one pixel at a time, with the solver's stopping rule."""
     n, bt = v.shape[0], p.beta * p.theta
@@ -168,6 +184,40 @@ class TestInnerSolvers:
         p = BregmanParams(lam=0.1, theta=1.01 * theta_bound(w, beta), beta=beta)
         with pytest.raises(ConfigError):
             fwsb_linear_solve(np.zeros((8, 8)), BregmanState.fresh(np.zeros((8, 8))), w, p)
+        for factor in (1.0, 1.01):
+            with pytest.raises(ConfigError):
+                FwsbSystem(w, beta, factor * theta_bound(w, beta))
+
+    @pytest.mark.parametrize("n", [5, 16, 47])
+    @pytest.mark.parametrize("tau, max_inner", [(1e-8, 500), (1e-14, 3)])
+    def test_fwsb_matches_reference_loop(self, rng, random_weights, n, tau, max_inner):
+        # the precomputed stencil reassociates the update, so iterates agree
+        # to rounding and the iteration count exactly
+        w = random_weights(n)
+        beta = 0.9
+        theta = 0.9 * theta_bound(w, beta)
+        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=tau, max_inner=max_inner)
+        state = _random_state(rng, n)
+        v = rng.normal(size=(n, n))
+        x, m = fwsb_linear_solve(v, state, w, p)
+        x_ref, m_ref = _reference_fwsb(v, state, w, p)
+        assert m == m_ref
+        assert (m < max_inner) == (max_inner == 500)
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+    def test_fwsb_system_serves_consecutive_solves(self, rng, random_weights):
+        w = random_weights(16)
+        beta = 0.9
+        theta = 0.9 * theta_bound(w, beta)
+        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-10, max_inner=300)
+        system = FwsbSystem(w, beta, theta)
+        for _ in range(3):
+            state = _random_state(rng, 16)
+            v = rng.normal(size=(16, 16))
+            x, m = fwsb_linear_solve(v, state, w, p, system=system)
+            x_fresh, m_fresh = fwsb_linear_solve(v, state, w, p, system=FwsbSystem(w, beta, theta))
+            assert m == m_fresh
+            assert np.array_equal(x, x_fresh)
 
     def test_fwsb_residual_contraction(self, rng, random_weights):
         # residual ratios stay at or below the spectral radius estimate
@@ -320,7 +370,7 @@ class TestWsbSolve:
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=tau, max_outer=300, max_inner=300)
         v = rng.normal(size=(12, 12))
         u_f, _, _ = wsb_solve(v, w, p, inner="fwsb")
-        u_g, _, _ = wsb_solve(v, w, p, inner="gauss_seidel", gs_system=GaussSeidelSystem(w, beta, theta))
+        u_g, _, _ = wsb_solve(v, w, p, inner="gauss_seidel", system=GaussSeidelSystem(w, beta, theta))
         u_d, _, _ = wsb_solve(v, w, p, inner="direct")
         ref = np.linalg.norm(u_d)
         assert np.linalg.norm(u_f - u_d) <= 10 * tau * ref

@@ -284,6 +284,17 @@ class TestMain:
         summary = (tmp_path / "out" / "summary.csv").read_text()
         assert "fwsb,diverged" in summary
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sweep_divergence_exits_three(self, tmp_path, monkeypatch, capsys):
+        # an operator norm of 0 skips the step-size check, as for an
+        # unnormalised operator, so an overlarge beta blows the iterate up
+        monkeypatch.setattr("wtv.forward_backward.power_method", lambda model: 0.0)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(tiny_config_text(tmp_path / "out", beta=1e200))
+        assert main(["sweep", str(cfg_path), "--lambda", "1e-3"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("diverged: ")
+
     def test_missing_config_exits_four(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 4
         assert "i/o error" in capsys.readouterr().err
