@@ -37,7 +37,7 @@ from .grid import (
     write_grid,
     write_pgm,
 )
-from .metrics import QualityReport, Stopwatch, psnr, rmse
+from .metrics import Stopwatch, psnr, rmse
 from .operators import (
     ForwardModel,
     FourierMaskModel,

@@ -345,11 +345,10 @@ def direct_solve(
     return x.reshape(v.shape), 1
 
 
-INNER_SOLVERS = {
-    "fwsb": fwsb_linear_solve,
-    "gauss_seidel": gauss_seidel_solve,
-    "direct": direct_solve,
-}
+# Names only: wsb_solve and forward_backward._prepare_backward call each
+# solver and system by its module-global name, so that a wrapper bound to
+# that name (a tracer, say) sees every call.
+INNER_SOLVERS = ("fwsb", "gauss_seidel", "direct")
 
 
 def wsb_solve(

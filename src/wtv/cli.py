@@ -1,7 +1,8 @@
 """Experiment harness and command line front end.
 
 Configs are flat key = value text files ('#' starts a comment); see README
-for the key reference.  Verbs:
+for the key reference.  configs/ holds the presets of the acceptance-scale
+experiments and of the lambda sweeps.  Verbs:
 
     run <config>                 restore with every configured solver
     sweep <config> --lambda ...  repeat the primary solver over a lambda grid
@@ -18,11 +19,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .bregman import INNER_SOLVERS
+from .dense import MAX_DENSE_N
 from .errors import ConfigError, DivergenceError
 from .forward_backward import SolverConfig, afb_solve
 from .grid import write_grid, write_pgm
@@ -61,6 +61,8 @@ class ExperimentConfig:
         for s in self.solvers:
             if s not in INNER_SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
+        if "direct" in self.solvers and self.n > MAX_DENSE_N:
+            raise ConfigError(f"solver 'direct' needs n <= {MAX_DENSE_N}, got {self.n}")
         if self.noise_variance < 0:
             raise ConfigError("noise_variance must be >= 0")
 
@@ -105,7 +107,6 @@ _SOLVER_KEYS = {
     "tau": ("tau", float),
     "max_outer": ("max_outer", int),
     "max_inner": ("max_inner", int),
-    "theta": ("theta", float),
 }
 
 

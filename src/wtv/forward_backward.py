@@ -40,9 +40,9 @@ __all__ = [
 
 WEIGHT_MODES = ("uniform", "fixed", "adaptive")
 
-# Fraction of the admissible contraction bound used when theta is not set
-# explicitly: safely inside the open interval, close enough to the edge to
-# keep the shrink threshold lam/theta meaningful.
+# Fraction of the admissible contraction bound used as theta: safely inside
+# the open interval, close enough to the edge to keep the shrink threshold
+# lam/theta meaningful.
 THETA_SAFETY = 0.9
 
 
@@ -51,7 +51,8 @@ class SolverConfig:
     """Settings for one restoration run.
 
     lam may be left unset when r0 is given, in which case the coupling
-    lam = r0 * ||adjoint(z)||_1 fixes it at startup.  theta defaults to
+    lam = r0 * ||adjoint(z)||_1 fixes it at startup.  The splitting
+    parameter theta is not a setting: each weight update sets it to
     THETA_SAFETY times the admissible bound computed from the weights.
     """
 
@@ -68,13 +69,12 @@ class SolverConfig:
     tau: float = 1e-4
     max_outer: int = 30
     max_inner: int = 50
-    theta: float | None = None
 
     def __post_init__(self):
         if self.weight_mode not in WEIGHT_MODES:
             raise ConfigError(f"weight_mode must be one of {WEIGHT_MODES}")
         if self.inner not in INNER_SOLVERS:
-            raise ConfigError(f"inner must be one of {tuple(INNER_SOLVERS)}")
+            raise ConfigError(f"inner must be one of {INNER_SOLVERS}")
         if self.lam is None and self.r0 is None:
             raise ConfigError("either lam or r0 must be set")
         if self.lam is not None and not (math.isfinite(self.lam) and self.lam >= 0):
@@ -91,8 +91,6 @@ class SolverConfig:
             raise ConfigError("max_fb must be at least 1")
         if not self.mu_scale > 0:
             raise ConfigError(f"mu_scale must be positive, got {self.mu_scale}")
-        if self.theta is not None and not self.theta > 0:
-            raise ConfigError(f"theta override must be positive, got {self.theta}")
 
 
 @dataclass
@@ -168,10 +166,10 @@ def _build_weights(u: np.ndarray, cfg: SolverConfig, mu: float | None):
 def _prepare_backward(w: WeightField, cfg: SolverConfig, lam: float):
     """Bregman settings and the inner solver's system for one weight field.
 
-    theta defaults to THETA_SAFETY times the bound for w.  The system is
-    None for the dense oracle, which assembles its matrix per solve.
+    theta is THETA_SAFETY times the bound for w.  The system is None for
+    the dense oracle, which assembles its matrix per solve.
     """
-    theta = cfg.theta if cfg.theta is not None else THETA_SAFETY * theta_bound(w, cfg.beta)
+    theta = THETA_SAFETY * theta_bound(w, cfg.beta)
     p = BregmanParams(
         lam=lam,
         theta=theta,

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QualityReport", "rmse", "psnr", "Stopwatch"]
+__all__ = ["rmse", "psnr", "Stopwatch"]
 
 
 def rmse(u: np.ndarray, x: np.ndarray) -> float:
@@ -32,19 +31,6 @@ def psnr(u: np.ndarray, x: np.ndarray) -> float:
     if err == 0.0:
         return float("inf")
     return float(20.0 * np.log10(peak / err))
-
-
-@dataclass(frozen=True)
-class QualityReport:
-    """PSNR/RMSE pair against a fixed reference."""
-
-    psnr: float
-    rmse: float
-    peak: float
-
-    @classmethod
-    def compare(cls, u: np.ndarray, x: np.ndarray) -> "QualityReport":
-        return cls(psnr=psnr(u, x), rmse=rmse(u, x), peak=float(x.max()))
 
 
 class Stopwatch:

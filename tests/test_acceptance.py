@@ -36,6 +36,26 @@ from wtv.operators import (
 from wtv.potential import LogExpParams, compute_weights, default_mu, phi, phi_prime
 from wtv.testdata import NoiseSpec, add_gaussian_noise, piecewise_test_image, shepp_logan
 
+# Solver settings of the two 256x256 restoration scenarios (before the inner
+# solver is chosen); configs/cs256_lines10.cfg and configs/deblur256.cfg
+# carry the same ones.
+CRITERION_7_SOLVER = SolverConfig(
+    lam=1e-3,
+    beta=0.9,
+    weight_mode="adaptive",
+    mu_scale=7.5e-5,
+    epsilon=1e-4,
+    max_fb=80,
+)
+CRITERION_8_SOLVER = SolverConfig(
+    lam=5e-3,
+    beta=0.9,
+    weight_mode="fixed",
+    mu_scale=7.5e-5,
+    epsilon=1e-4,
+    max_fb=200,
+)
+
 
 def _report(num: int, ok: bool, detail: str) -> None:
     verdict = "PASS" if ok else "FAIL"
@@ -251,14 +271,7 @@ def test_criterion_07_undersampled_fourier_restoration():
     mask, pct = radial_mask(256, 10)
     model = FourierMaskModel(mask)
     data = model.apply(truth)
-    base = SolverConfig(
-        lam=1e-3,
-        beta=0.9,
-        weight_mode="adaptive",
-        mu_scale=7.5e-5,
-        epsilon=1e-4,
-        max_fb=80,
-    )
+    base = CRITERION_7_SOLVER
     start = time.perf_counter()
     u_f, trace_f = afb_solve(model, data, replace(base, inner="fwsb"), reference=truth)
     t_fwsb = time.perf_counter() - start
@@ -291,14 +304,7 @@ def test_criterion_08_blurred_noisy_restoration():
     model = GaussianBlurModel(256, 1.5, 9)
     data = add_gaussian_noise(model.apply(truth), NoiseSpec(0.5e-2, 0))
     observed = psnr(data, truth)
-    base = SolverConfig(
-        lam=5e-3,
-        beta=0.9,
-        weight_mode="fixed",
-        mu_scale=7.5e-5,
-        epsilon=1e-4,
-        max_fb=200,
-    )
+    base = CRITERION_8_SOLVER
     results = {}
     for name in ("fwsb", "gauss_seidel"):
         _, trace = afb_solve(model, data, replace(base, inner=name), reference=truth)

@@ -1,6 +1,8 @@
 """Config parsing, the experiment harness, and the command line front end."""
 
 import os
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,17 @@ from wtv.cli import (
 from wtv.errors import ConfigError, DivergenceError
 from wtv.forward_backward import SolverConfig
 from wtv.grid import read_grid
+
+from test_acceptance import CRITERION_7_SOLVER, CRITERION_8_SOLVER
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PRESETS = (
+    "deblur256.cfg",
+    "cs256_lines8.cfg",
+    "cs256_lines10.cfg",
+    "sweep_deblur128.cfg",
+    "sweep_cs128.cfg",
+)
 
 
 def tiny_config_text(outdir, **overrides):
@@ -81,8 +94,10 @@ class TestParseConfig:
         assert cfg.solvers == ("fwsb", "gauss_seidel")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("problem = deblur\nshrinkage = 2\n")
+        # theta is worked out from the weights at every weight update
+        for line in ("shrinkage = 2", "theta = 0.1"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(f"problem = deblur\n{line}\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
@@ -133,6 +148,11 @@ class TestExperimentConfigValidation:
     def test_negative_noise(self):
         with pytest.raises(ConfigError, match="noise_variance"):
             ExperimentConfig(problem="deblur", noise_variance=-1.0)
+
+    def test_direct_solver_limited_to_dense_size(self):
+        ExperimentConfig(problem="deblur", n=32, solvers=("direct",))
+        with pytest.raises(ConfigError, match="'direct' needs n <= 32, got 33"):
+            ExperimentConfig(problem="deblur", n=33, solvers=("fwsb", "direct"))
 
 
 class TestRunExperiment:
@@ -295,6 +315,13 @@ class TestMain:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("diverged: ")
 
+    def test_direct_over_dense_limit_exits_two_before_solving(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(tiny_config_text(tmp_path / "out", n=40, solvers="fwsb,direct"))
+        assert main(["run", str(cfg_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_four(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 4
         assert "i/o error" in capsys.readouterr().err
@@ -302,3 +329,31 @@ class TestMain:
     def test_unwritable_mask_exits_four(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "m.grid"
         assert main(["mask", "--lines", "2", "--n", "16", "--out", str(out)]) == 4
+
+
+class TestPresetConfigs:
+    def test_directory_holds_the_presets(self):
+        assert sorted(p.name for p in CONFIG_DIR.glob("*.cfg")) == sorted(PRESETS)
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_roundtrip(self, name):
+        cfg = load_config(CONFIG_DIR / name)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_runs_when_shrunk(self, name, tmp_path):
+        cfg = load_config(CONFIG_DIR / name)
+        small = replace(cfg, n=32, outdir=str(tmp_path), solver=replace(cfg.solver, max_fb=2))
+        cfg_path = tmp_path / name
+        cfg_path.write_text(serialize_config(small))
+        if name.startswith("sweep_"):
+            assert main(["sweep", str(cfg_path), "--lambda", "1e-3,1e-2"]) == 0
+            assert (tmp_path / "lambda_sweep.csv").is_file()
+        else:
+            assert main(["run", str(cfg_path)]) == 0
+            rows = (tmp_path / "summary.csv").read_text().strip().splitlines()[1:]
+            assert [row.split(",")[:2] for row in rows] == [[s, "ok"] for s in cfg.solvers]
+
+    def test_acceptance_solver_settings(self):
+        assert load_config(CONFIG_DIR / "cs256_lines10.cfg").solver == CRITERION_7_SOLVER
+        assert load_config(CONFIG_DIR / "deblur256.cfg").solver == CRITERION_8_SOLVER

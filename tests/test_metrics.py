@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from wtv.metrics import QualityReport, Stopwatch, psnr, rmse
+from wtv.metrics import Stopwatch, psnr, rmse
 
 
 class TestRmse:
@@ -74,16 +74,6 @@ class TestPsnr:
         x = np.full((4, 4), 1.0)
         u = np.full((4, 4), 2.0)
         assert psnr(u, x) != psnr(x, u)
-
-
-class TestQualityReport:
-    def test_compare(self, rng):
-        x = np.abs(rng.normal(size=(8, 8))) + 0.1
-        u = x + 0.01
-        rep = QualityReport.compare(u, x)
-        assert rep.rmse == pytest.approx(rmse(u, x))
-        assert rep.psnr == pytest.approx(psnr(u, x))
-        assert rep.peak == pytest.approx(float(x.max()))
 
 
 class TestStopwatch:
