@@ -29,12 +29,14 @@ linear solvers are provided:
   order, so its iterates and sweep counts equal the per-pixel loop's bit
   for bit.
 
-A dense direct solve (n <= 32) backs both as an oracle.
+wsb_solve picks the solver from the type of the prepared system it is
+given.  A dense direct solve (n <= 32) backs both as a test oracle; it is
+not an inner solver that afb_solve can run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -193,23 +195,21 @@ def fwsb_linear_solve(
     state: BregmanState,
     w: WeightField,
     p: BregmanParams,
+    system: FwsbSystem,
     residuals: list | None = None,
-    system: FwsbSystem | None = None,
 ):
     """Fixed-point solve of (I - beta*theta*Lap_w) X = c, fully vectorised.
 
     Splitting the system matrix across the identity turns the solve into
     X <- c + beta*theta*Lap_w X.  The right-hand side c is built once per
-    solve; each iteration applies the precomputed stencil of system, which
-    is built from w, p.beta and p.theta when not given.  Requires
+    solve; each iteration applies the precomputed stencil of system, the
+    FwsbSystem of w, p.beta and p.theta.  Building it checked
     theta < theta_bound(w, beta), which makes the iteration map a
     contraction.  Warm-starts from state.u.  When a list is passed as
     residuals, the per-iteration change norms are appended; for this
     splitting the change X_{m+1} - X_m literally equals c - A X_m, so they
     double as residual norms.  Returns (solution, iterations).
     """
-    if system is None:
-        system = FwsbSystem(w, p.beta, p.theta)
     c = _rhs(v, state, w, p).ravel()
     x = state.u.flatten()
     x_new, tmp = np.empty_like(x), np.empty_like(x)
@@ -309,18 +309,16 @@ def gauss_seidel_solve(
     state: BregmanState,
     w: WeightField,
     p: BregmanParams,
-    system: GaussSeidelSystem | None = None,
+    system: GaussSeidelSystem,
 ):
     """Forward Gauss-Seidel sweeps on the same system, lexicographic order.
 
     Solves (I - beta*theta*Lap_w) X = b with the identical right-hand side
     and stopping rule as fwsb_linear_solve; valid for any theta >= 0 thanks
-    to strict diagonal dominance.  A shared system holds the sweep's
-    buffers, so it must serve one solve at a time.  Returns (solution,
-    sweeps).
+    to strict diagonal dominance.  system is the GaussSeidelSystem of w,
+    p.beta and p.theta; it holds the sweep's buffers, so it must serve one
+    solve at a time.  Returns (solution, sweeps).
     """
-    if system is None:
-        system = GaussSeidelSystem(w, p.beta, p.theta)
     n = system.n
     b = _rhs(v, state, w, p)
     prev = state.u.ravel()
@@ -339,7 +337,7 @@ def direct_solve(
     w: WeightField,
     p: BregmanParams,
 ):
-    """Dense factorisation solve of the same system; oracle, gated to n <= 32."""
+    """Dense factorisation solve of the same system; test oracle, gated to n <= 32."""
     a = dense.system_matrix(w, p.beta, p.theta)
     x = np.linalg.solve(a, _rhs(v, state, w, p).ravel())
     return x.reshape(v.shape), 1
@@ -348,41 +346,33 @@ def direct_solve(
 # Names only: wsb_solve and forward_backward._prepare_backward call each
 # solver and system by its module-global name, so that a wrapper bound to
 # that name (a tracer, say) sees every call.
-INNER_SOLVERS = ("fwsb", "gauss_seidel", "direct")
+INNER_SOLVERS = ("fwsb", "gauss_seidel")
 
 
 def wsb_solve(
     v: np.ndarray,
     w: WeightField,
     p: BregmanParams,
-    inner: str = "fwsb",
-    system: FwsbSystem | GaussSeidelSystem | None = None,
+    system: FwsbSystem | GaussSeidelSystem,
 ):
     """Split-Bregman loop for the backward subproblem.
 
     Starts from U = v with zero auxiliary and Bregman fields, alternates the
     linear solve with soft/clamp shrinkage of the shifted differences, and
     stops once U's relative change falls below tau (or max_outer is hit).
-    system is the inner solver's prepared system for w, p.beta and p.theta
-    (FwsbSystem or GaussSeidelSystem); when it is None, one is built here
-    for the whole loop.  Returns (U, total inner iterations, outer sweeps).
+    system is the inner solver's prepared system for w, p.beta and p.theta,
+    and its type picks the linear solver: fwsb_linear_solve for an
+    FwsbSystem, gauss_seidel_solve for a GaussSeidelSystem.  Returns (U,
+    total inner iterations, outer sweeps).
     """
-    if inner not in INNER_SOLVERS:
-        raise ConfigError(f"unknown inner solver {inner!r}")
-    if system is None and inner != "direct":
-        system = (FwsbSystem if inner == "fwsb" else GaussSeidelSystem)(w, p.beta, p.theta)
+    solve = fwsb_linear_solve if isinstance(system, FwsbSystem) else gauss_seidel_solve
     lvl = p.shrink_threshold
     state = BregmanState.fresh(v)
     total_inner = 0
     outer = 0
     for outer in range(1, p.max_outer + 1):
         u_old = state.u
-        if inner == "fwsb":
-            x, m = fwsb_linear_solve(v, state, w, p, system=system)
-        elif inner == "gauss_seidel":
-            x, m = gauss_seidel_solve(v, state, w, p, system=system)
-        else:
-            x, m = direct_solve(v, state, w, p)
+        x, m = solve(v, state, w, p, system)
         total_inner += m
         state.u = x
         gx, gy = grad_w(x, w)

@@ -17,12 +17,12 @@ directories are resolved against $WTV_OUTPUT_ROOT when it is set.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
 
 from .bregman import INNER_SOLVERS
-from .dense import MAX_DENSE_N
 from .errors import ConfigError, DivergenceError
 from .forward_backward import SolverConfig, afb_solve
 from .grid import write_grid, write_pgm
@@ -61,10 +61,12 @@ class ExperimentConfig:
         for s in self.solvers:
             if s not in INNER_SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
-        if "direct" in self.solvers and self.n > MAX_DENSE_N:
-            raise ConfigError(f"solver 'direct' needs n <= {MAX_DENSE_N}, got {self.n}")
-        if self.noise_variance < 0:
-            raise ConfigError("noise_variance must be >= 0")
+        if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
+            raise ConfigError(
+                f"noise_variance must be finite and >= 0, got {self.noise_variance}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # config file key -> (target, attribute, parser)
@@ -210,9 +212,9 @@ def _write_trace(path, trace) -> None:
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
     """Run every configured solver on the experiment; returns per-solver rows."""
+    truth, model, data, extras = build_problem(cfg)
     outdir = resolve_outdir(cfg.outdir)
     os.makedirs(outdir, exist_ok=True)
-    truth, model, data, extras = build_problem(cfg)
     rows = []
     for name in cfg.solvers:
         scfg = replace(cfg.solver, inner=name)
@@ -267,9 +269,9 @@ def sweep_lambda(cfg: ExperimentConfig, lambdas, quiet: bool = False):
     values = [float(v) for v in lambdas]
     if not values:
         raise ConfigError("lambda sweep needs at least one value")
+    truth, model, data, _ = build_problem(cfg)
     outdir = resolve_outdir(cfg.outdir)
     os.makedirs(outdir, exist_ok=True)
-    truth, model, data, _ = build_problem(cfg)
     primary = cfg.solvers[0]
     rows = []
     for lam in values:

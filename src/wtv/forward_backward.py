@@ -91,6 +91,10 @@ class SolverConfig:
             raise ConfigError("max_fb must be at least 1")
         if not self.mu_scale > 0:
             raise ConfigError(f"mu_scale must be positive, got {self.mu_scale}")
+        if not self.tau > 0:
+            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if self.max_outer < 1 or self.max_inner < 1:
+            raise ConfigError("iteration caps must be at least 1")
 
 
 @dataclass
@@ -166,8 +170,9 @@ def _build_weights(u: np.ndarray, cfg: SolverConfig, mu: float | None):
 def _prepare_backward(w: WeightField, cfg: SolverConfig, lam: float):
     """Bregman settings and the inner solver's system for one weight field.
 
-    theta is THETA_SAFETY times the bound for w.  The system is None for
-    the dense oracle, which assembles its matrix per solve.
+    theta is THETA_SAFETY times the bound for w.  The system is the
+    FwsbSystem or GaussSeidelSystem of cfg.inner; its type picks the
+    linear solver in wsb_solve.
     """
     theta = THETA_SAFETY * theta_bound(w, cfg.beta)
     p = BregmanParams(
@@ -178,11 +183,7 @@ def _prepare_backward(w: WeightField, cfg: SolverConfig, lam: float):
         max_outer=cfg.max_outer,
         max_inner=cfg.max_inner,
     )
-    if cfg.inner == "fwsb":
-        return p, FwsbSystem(w, cfg.beta, theta)
-    if cfg.inner == "gauss_seidel":
-        return p, GaussSeidelSystem(w, cfg.beta, theta)
-    return p, None
+    return p, (FwsbSystem if cfg.inner == "fwsb" else GaussSeidelSystem)(w, cfg.beta, theta)
 
 
 def afb_solve(
@@ -234,7 +235,7 @@ def afb_solve(
                 w, mu = _build_weights(u, cfg, mu)
                 params, system = _prepare_backward(w, cfg, lam)
             v = forward_step(u, model, z, cfg.beta)
-            u_tilde, m_inner, _ = wsb_solve(v, w, params, cfg.inner, system)
+            u_tilde, m_inner, _ = wsb_solve(v, w, params, system)
             alpha = 0.0 if cfg.no_accel else fista_alpha(it, cfg.a)
             u_new = u_tilde + alpha * (u_tilde - u_tilde_prev)
             if not np.all(np.isfinite(u_new)):

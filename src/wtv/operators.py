@@ -44,11 +44,6 @@ class ForwardModel(ABC):
     def data_shape(self) -> tuple:
         """Shape of the measurement array."""
 
-    @property
-    @abstractmethod
-    def data_dtype(self) -> np.dtype:
-        """Dtype of the measurement array."""
-
     def _check_image(self, u: np.ndarray) -> None:
         if u.shape != (self.n, self.n):
             raise ValueError(f"expected ({self.n}, {self.n}) image, got {u.shape}")
@@ -104,10 +99,6 @@ class GaussianBlurModel(ForwardModel):
     def data_shape(self) -> tuple:
         return (self.n, self.n)
 
-    @property
-    def data_dtype(self) -> np.dtype:
-        return np.dtype(np.float64)
-
 
 class FourierMaskModel(ForwardModel):
     """Binary-masked unitary 2-D Fourier sampling.
@@ -126,11 +117,6 @@ class FourierMaskModel(ForwardModel):
         self.n = mask.shape[0]
         self.mask = np.asarray(mask, dtype=np.float64)
 
-    @property
-    def sampling_pct(self) -> float:
-        """Sampled fraction of the spectrum, in percent."""
-        return float(100.0 * self.mask.sum() / self.mask.size)
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         self._check_image(u)
         return self.mask * np.fft.fft2(u, norm="ortho")
@@ -142,10 +128,6 @@ class FourierMaskModel(ForwardModel):
     @property
     def data_shape(self) -> tuple:
         return (self.n, self.n)
-
-    @property
-    def data_dtype(self) -> np.dtype:
-        return np.dtype(np.complex128)
 
 
 def radial_mask(n: int, lines: int):

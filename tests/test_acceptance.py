@@ -15,6 +15,8 @@ import numpy as np
 from wtv.bregman import (
     BregmanParams,
     BregmanState,
+    FwsbSystem,
+    GaussSeidelSystem,
     cut,
     direct_solve,
     fwsb_linear_solve,
@@ -101,8 +103,10 @@ def test_criterion_01_inner_solvers_match_dense_oracle():
         )
         exact, _ = direct_solve(v, _clone_state(state), w, p)
         ref = np.linalg.norm(exact)
-        for solve in (fwsb_linear_solve, gauss_seidel_solve):
-            x, _ = solve(v, _clone_state(state), w, p)
+        for solve, system in (
+            (fwsb_linear_solve, FwsbSystem), (gauss_seidel_solve, GaussSeidelSystem)
+        ):
+            x, _ = solve(v, _clone_state(state), w, p, system(w, beta, theta))
             worst = max(worst, float(np.linalg.norm(x - exact)) / ref)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed <= 1.0
@@ -138,7 +142,7 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
             lam=0.1, beta=beta, theta=theta, tau=1e-13, max_inner=400
         )
         residuals = []
-        fwsb_linear_solve(v, state, w, p, residuals=residuals)
+        fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta), residuals=residuals)
         ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
         gmean = float(np.exp(np.mean(np.log(ratios))))
         worst_rho = max(worst_rho, rho)
@@ -245,7 +249,7 @@ def test_criterion_06_backward_step_never_worse_than_input():
         theta = 0.9 * theta_bound(w, beta)
         p = BregmanParams(lam=lam, beta=beta, theta=theta, tau=1e-8,
                           max_outer=60, max_inner=200)
-        u, _, _ = wsb_solve(v, w, p)
+        u, _, _ = wsb_solve(v, w, p, FwsbSystem(w, beta, theta))
         before = objective_backward(v, v, w, lam, beta)
         after = objective_backward(u, v, w, lam, beta)
         worst_gain = max(worst_gain, (after - before) / max(before, 1e-300))
@@ -255,7 +259,7 @@ def test_criterion_06_backward_step_never_worse_than_input():
     v = rng.normal(size=(12, 12))
     p0 = BregmanParams(lam=0.0, beta=beta, theta=0.5 * theta_bound(w, beta),
                        tau=tau, max_outer=200, max_inner=200)
-    u0, _, _ = wsb_solve(v, w, p0)
+    u0, _, _ = wsb_solve(v, w, p0, FwsbSystem(w, beta, p0.theta))
     drift = float(np.linalg.norm(u0 - v)) / float(np.linalg.norm(v))
     ok = worst_gain <= 1e-12 and drift <= 10 * tau
     _report(

@@ -140,7 +140,7 @@ class TestInnerSolvers:
         w = random_weights(8)
         v = rng.normal(size=(8, 8))
         p = BregmanParams(lam=0.1, theta=1e-12, beta=1e-3, tau=1e-13, max_inner=50)
-        x, m = fwsb_linear_solve(v, BregmanState.fresh(v), w, p)
+        x, m = fwsb_linear_solve(v, BregmanState.fresh(v), w, p, FwsbSystem(w, 1e-3, 1e-12))
         assert np.allclose(x, v, atol=1e-10)
 
     def test_fwsb_matches_dense_direct(self, rng, random_weights):
@@ -151,7 +151,7 @@ class TestInnerSolvers:
         state = _random_state(rng, 16)
         v = rng.normal(size=(16, 16))
         ref, _ = direct_solve(v, state, w, p)
-        x, m = fwsb_linear_solve(v, state, w, p)
+        x, m = fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta))
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
         assert 0 < m <= 500
 
@@ -164,7 +164,7 @@ class TestInnerSolvers:
         v = rng.normal(size=(16, 16))
         ref, _ = direct_solve(v, state, w, p)
         system = GaussSeidelSystem(w, beta, theta)
-        x, m = gauss_seidel_solve(v, state, w, p, system=system)
+        x, m = gauss_seidel_solve(v, state, w, p, system)
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_solvers_agree_with_each_other(self, rng, random_weights):
@@ -174,8 +174,8 @@ class TestInnerSolvers:
         p = BregmanParams(lam=0.2, theta=theta, beta=beta, tau=1e-11, max_inner=500)
         state = _random_state(rng, 12)
         v = rng.normal(size=(12, 12))
-        xf, _ = fwsb_linear_solve(v, state, w, p)
-        xg, _ = gauss_seidel_solve(v, state, w, p, system=GaussSeidelSystem(w, beta, theta))
+        xf, _ = fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta))
+        xg, _ = gauss_seidel_solve(v, state, w, p, GaussSeidelSystem(w, beta, theta))
         assert np.allclose(xf, xg, atol=1e-8)
 
     def test_fwsb_refuses_theta_out_of_bound(self, random_weights):
@@ -183,7 +183,10 @@ class TestInnerSolvers:
         beta = 0.9
         p = BregmanParams(lam=0.1, theta=1.01 * theta_bound(w, beta), beta=beta)
         with pytest.raises(ConfigError):
-            fwsb_linear_solve(np.zeros((8, 8)), BregmanState.fresh(np.zeros((8, 8))), w, p)
+            fwsb_linear_solve(
+                np.zeros((8, 8)), BregmanState.fresh(np.zeros((8, 8))), w, p,
+                FwsbSystem(w, beta, p.theta),
+            )
         for factor in (1.0, 1.01):
             with pytest.raises(ConfigError):
                 FwsbSystem(w, beta, factor * theta_bound(w, beta))
@@ -199,7 +202,7 @@ class TestInnerSolvers:
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=tau, max_inner=max_inner)
         state = _random_state(rng, n)
         v = rng.normal(size=(n, n))
-        x, m = fwsb_linear_solve(v, state, w, p)
+        x, m = fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta))
         x_ref, m_ref = _reference_fwsb(v, state, w, p)
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
@@ -214,8 +217,8 @@ class TestInnerSolvers:
         for _ in range(3):
             state = _random_state(rng, 16)
             v = rng.normal(size=(16, 16))
-            x, m = fwsb_linear_solve(v, state, w, p, system=system)
-            x_fresh, m_fresh = fwsb_linear_solve(v, state, w, p, system=FwsbSystem(w, beta, theta))
+            x, m = fwsb_linear_solve(v, state, w, p, system)
+            x_fresh, m_fresh = fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta))
             assert m == m_fresh
             assert np.array_equal(x, x_fresh)
 
@@ -244,7 +247,7 @@ class TestInnerSolvers:
         state = _random_state(rng, 16)
         v = rng.normal(size=(16, 16))
         residuals = []
-        fwsb_linear_solve(v, state, w, p, residuals=residuals)
+        fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta), residuals=residuals)
         ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
         # geometric-mean contraction factor against the bound
         gmean = float(np.exp(np.mean(np.log(ratios))))
@@ -257,7 +260,7 @@ class TestInnerSolvers:
         p = BregmanParams(lam=0.0, theta=0.0, beta=0.9, tau=1e-10)
         v = rng.normal(size=(8, 8))
         x, m = gauss_seidel_solve(
-            v, BregmanState.fresh(np.zeros((8, 8))), w, p, system=GaussSeidelSystem(w, 0.9, 0.0)
+            v, BregmanState.fresh(np.zeros((8, 8))), w, p, GaussSeidelSystem(w, 0.9, 0.0)
         )
         assert m <= 2
         assert np.array_equal(x, v)
@@ -276,7 +279,7 @@ class TestInnerSolvers:
         state = _random_state(rng, n)
         v = rng.normal(size=(n, n))
         system = GaussSeidelSystem(w, beta, theta)
-        x, m = gauss_seidel_solve(v, state, w, p, system=system)
+        x, m = gauss_seidel_solve(v, state, w, p, system)
         x_ref, m_ref = _reference_gauss_seidel(v, state, w, p)
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
@@ -297,9 +300,10 @@ class TestInnerSolvers:
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-10, max_inner=300)
         state = _random_state(rng, 12)
         v = rng.normal(size=(12, 12))
-        x1, m1 = fwsb_linear_solve(v, state, w, p)
+        system = FwsbSystem(w, beta, theta)
+        x1, m1 = fwsb_linear_solve(v, state, w, p, system)
         warm = BregmanState(u=x1, dx=state.dx, dy=state.dy, ex=state.ex, ey=state.ey)
-        x2, m2 = fwsb_linear_solve(v, warm, w, p)
+        x2, m2 = fwsb_linear_solve(v, warm, w, p, system)
         assert m2 <= 2
         assert np.allclose(x2, x1, atol=1e-8)
 
@@ -322,13 +326,13 @@ class TestWsbSolve:
         tau = 1e-6
         p = BregmanParams(lam=0.0, theta=theta, beta=beta, tau=tau, max_outer=200, max_inner=200)
         v = rng.normal(size=(12, 12))
-        u, total_inner, outer = wsb_solve(v, w, p)
+        u, total_inner, outer = wsb_solve(v, w, p, FwsbSystem(w, beta, theta))
         assert np.linalg.norm(u - v) <= 10 * tau * np.linalg.norm(v)
 
     def test_zero_input_zero_output(self, random_weights):
         w = random_weights(8)
         p = BregmanParams(lam=0.3, theta=0.5 * theta_bound(w, 0.9), beta=0.9)
-        u, _, _ = wsb_solve(np.zeros((8, 8)), w, p)
+        u, _, _ = wsb_solve(np.zeros((8, 8)), w, p, FwsbSystem(w, p.beta, p.theta))
         assert np.all(u == 0)
 
     def test_objective_not_above_start(self, rng, random_weights):
@@ -341,7 +345,7 @@ class TestWsbSolve:
                 max_outer=100, max_inner=100,
             )
             v = local.normal(size=(12, 12))
-            u, _, _ = wsb_solve(v, w, p)
+            u, _, _ = wsb_solve(v, w, p, FwsbSystem(w, beta, p.theta))
             assert objective_backward(u, v, w, 0.15, beta) <= objective_backward(
                 v, v, w, 0.15, beta
             )
@@ -356,7 +360,7 @@ class TestWsbSolve:
             lam=2.0, theta=0.5 * theta_bound(w, beta), beta=beta, tau=1e-8,
             max_outer=200, max_inner=200,
         )
-        u, _, _ = wsb_solve(ramp, w, p)
+        u, _, _ = wsb_solve(ramp, w, p, FwsbSystem(w, beta, p.theta))
         assert weighted_tv(u, w) < 0.6 * weighted_tv(ramp, w)
         assert objective_backward(u, ramp, w, 2.0, beta) <= objective_backward(
             ramp, ramp, w, 2.0, beta
@@ -369,18 +373,9 @@ class TestWsbSolve:
         tau = 1e-8
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=tau, max_outer=300, max_inner=300)
         v = rng.normal(size=(12, 12))
-        u_f, _, _ = wsb_solve(v, w, p, inner="fwsb")
-        u_g, _, _ = wsb_solve(v, w, p, inner="gauss_seidel", system=GaussSeidelSystem(w, beta, theta))
-        u_d, _, _ = wsb_solve(v, w, p, inner="direct")
-        ref = np.linalg.norm(u_d)
-        assert np.linalg.norm(u_f - u_d) <= 10 * tau * ref
-        assert np.linalg.norm(u_g - u_d) <= 10 * tau * ref
-
-    def test_unknown_inner_rejected(self, random_weights):
-        w = random_weights(8)
-        p = BregmanParams(lam=0.1, theta=0.05, beta=0.9)
-        with pytest.raises(ConfigError):
-            wsb_solve(np.zeros((8, 8)), w, p, inner="jacobi")
+        u_f, _, _ = wsb_solve(v, w, p, FwsbSystem(w, beta, theta))
+        u_g, _, _ = wsb_solve(v, w, p, GaussSeidelSystem(w, beta, theta))
+        assert np.linalg.norm(u_f - u_g) <= 10 * tau * np.linalg.norm(u_g)
 
     def test_table_form_rhs_identity(self, rng):
         # D - e equals z - 2*cut(z) for z = grad(U) + e: the two ways of

@@ -142,17 +142,13 @@ class TestExperimentConfigValidation:
             ExperimentConfig(problem="deblur", solvers=())
 
     def test_unknown_solver(self):
-        with pytest.raises(ConfigError, match="unknown solver"):
-            ExperimentConfig(problem="deblur", solvers=("jacobi",))
+        for name in ("jacobi", "direct"):
+            with pytest.raises(ConfigError, match="unknown solver"):
+                ExperimentConfig(problem="deblur", solvers=(name,))
 
     def test_negative_noise(self):
         with pytest.raises(ConfigError, match="noise_variance"):
             ExperimentConfig(problem="deblur", noise_variance=-1.0)
-
-    def test_direct_solver_limited_to_dense_size(self):
-        ExperimentConfig(problem="deblur", n=32, solvers=("direct",))
-        with pytest.raises(ConfigError, match="'direct' needs n <= 32, got 33"):
-            ExperimentConfig(problem="deblur", n=33, solvers=("fwsb", "direct"))
 
 
 class TestRunExperiment:
@@ -315,12 +311,33 @@ class TestMain:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("diverged: ")
 
-    def test_direct_over_dense_limit_exits_two_before_solving(self, tmp_path, capsys):
+    def test_direct_is_an_unknown_solver_exits_two_before_solving(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text(tiny_config_text(tmp_path / "out", n=40, solvers="fwsb,direct"))
+        cfg_path.write_text(tiny_config_text(tmp_path / "out", solvers="fwsb,direct"))
         assert main(["run", str(cfg_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tau": -1},
+            {"max_inner": 0},
+            {"problem": "cs_mri", "mask_lines": 0},
+            {"blur_sigma": -1},
+            {"blur_size": 4},
+            {"noise_variance": "nan"},
+            {"seed": -1},
+        ],
+        ids=["tau", "max_inner", "mask_lines", "blur_sigma", "blur_size", "noise", "seed"],
+    )
+    def test_out_of_range_value_exits_two_before_writing(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(tiny_config_text(tmp_path / "out", **bad))
+        for argv in (["run", str(cfg_path)], ["sweep", str(cfg_path), "--lambda", "1e-3"]):
+            assert main(argv) == 2
+            assert "configuration error" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_four(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 4

@@ -123,13 +123,6 @@ class TestFourierMaskModel:
             rhs = np.sum(x * m.adjoint(y))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), abs(rhs), 1.0)
 
-    def test_sampling_pct(self):
-        mask = np.zeros((16, 16))
-        mask[0, 0] = 1.0
-        mask[3, 7] = 1.0
-        m = FourierMaskModel(mask)
-        assert m.sampling_pct == pytest.approx(100.0 * 2 / 256)
-
     def test_data_dtype_complex(self):
         mask, _ = radial_mask(16, 2)
         m = FourierMaskModel(mask)
@@ -197,10 +190,6 @@ class _IdentityModel(ForwardModel):
     @property
     def data_shape(self):
         return (self.n, self.n)
-
-    @property
-    def data_dtype(self):
-        return np.float64
 
 
 class _ZeroModel(_IdentityModel):
