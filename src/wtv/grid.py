@@ -8,10 +8,10 @@ column (x) and last row (y) set to zero, i.e. replicate boundary handling.
 
 div_w is the exact transpose of grad_w, so <grad_w(u), (gx, gy)> equals
 <u, div_w(gx, gy)> for every input.  The weighted Laplacian is the five-point
-operator -(grad_x^T grad_x + grad_y^T grad_y); laplacian_w evaluates its
-stencil directly and agrees elementwise with the composition of grad_w and
-div_w.  Its rows sum absolutely to at most 2*(sum of the four neighbour
-coefficients), which laplacian_inf_norm returns as the exact infinity norm.
+operator -(grad_x^T grad_x + grad_y^T grad_y) = -div_w(grad_w(u)), with the
+neighbour coefficients of _stencil_coeffs.  Each of its rows sums
+absolutely to twice the total of those coefficients, which
+laplacian_inf_norm returns as the exact infinity norm.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "unit_weights",
     "grad_w",
     "div_w",
-    "laplacian_w",
     "laplacian_inf_norm",
     "weighted_tv",
     "write_grid",
@@ -122,18 +121,6 @@ def _stencil_coeffs(w: WeightField):
     cn = np.zeros_like(cs)
     cn[1:, :] = cs[:-1, :]
     return ce, cw, cs, cn
-
-
-def laplacian_w(u: np.ndarray, w: WeightField) -> np.ndarray:
-    """Weighted five-point Laplacian, evaluated directly from its stencil."""
-    _require_same_shape(u, w.wx)
-    ce, cw, cs, cn = _stencil_coeffs(w)
-    out = -(ce + cw + cs + cn) * u
-    out[:, :-1] += ce[:, :-1] * u[:, 1:]
-    out[:, 1:] += cw[:, 1:] * u[:, :-1]
-    out[:-1, :] += cs[:-1, :] * u[1:, :]
-    out[1:, :] += cn[1:, :] * u[:-1, :]
-    return out
 
 
 def laplacian_inf_norm(w: WeightField) -> float:

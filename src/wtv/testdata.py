@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["NoiseSpec", "shepp_logan", "piecewise_test_image", "add_gaussian_noise"]
 
 # (value, x semi-axis, y semi-axis, x centre, y centre, rotation degrees)
@@ -33,7 +35,7 @@ HEAD_ELLIPSES = (
 def shepp_logan(n: int) -> np.ndarray:
     """Ten-ellipse head phantom on an n x n grid, values in [0, 1]."""
     if n < 2:
-        raise ValueError(f"side length must be at least 2, got {n}")
+        raise ConfigError(f"side length must be at least 2, got {n}")
     x = np.linspace(-1.0, 1.0, n)[None, :]
     y = np.linspace(1.0, -1.0, n)[:, None]
     img = np.zeros((n, n))
@@ -51,7 +53,7 @@ def shepp_logan(n: int) -> np.ndarray:
 def piecewise_test_image(n: int) -> np.ndarray:
     """Piecewise-constant cartoon with straight and curved edges, peak 1."""
     if n < 32:
-        raise ValueError(f"side length must be at least 32, got {n}")
+        raise ConfigError(f"side length must be at least 32, got {n}")
     y, x = np.meshgrid(
         np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, n), indexing="ij"
     )

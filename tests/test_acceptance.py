@@ -12,22 +12,20 @@ from dataclasses import replace
 
 import numpy as np
 
+from oracles import direct_solve, laplacian_w, objective_backward, record_changes
 from wtv.bregman import (
     BregmanParams,
-    BregmanState,
     FwsbSystem,
     GaussSeidelSystem,
     cut,
-    direct_solve,
     fwsb_linear_solve,
     gauss_seidel_solve,
-    objective_backward,
     soft,
     theta_bound,
     wsb_solve,
 )
 from wtv.forward_backward import SolverConfig, afb_solve, fista_alpha
-from wtv.grid import WeightField, laplacian_w, unit_weights
+from wtv.grid import WeightField, div_w, unit_weights
 from wtv.metrics import psnr
 from wtv.operators import (
     FourierMaskModel,
@@ -65,29 +63,19 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num}: {detail}"
 
 
-def _random_instance(rng, n=16):
-    """One linear-solve instance: weights, target, warm auxiliary fields."""
+def _random_instance(rng, beta, n=16):
+    """One linear-solve instance: weights, theta, right-hand side and start.
+
+    theta is 0.9 times the bound.  The right-hand side is built as the
+    Bregman loop builds it, c = v + beta*theta*div_w(dx - ex, dy - ey),
+    from a random target v and warm auxiliary fields; x0 is random too.
+    """
     wx = rng.uniform(0.2, 2.0, size=(n, n))
     wy = rng.uniform(0.2, 2.0, size=(n, n))
     w = WeightField(wx, wy)
-    v = rng.normal(size=(n, n))
-    state = BregmanState.fresh(np.zeros((n, n)))
-    state.u = rng.normal(size=(n, n))
-    state.dx = rng.normal(size=(n, n))
-    state.dy = rng.normal(size=(n, n))
-    state.ex = rng.normal(size=(n, n))
-    state.ey = rng.normal(size=(n, n))
-    return w, v, state
-
-
-def _clone_state(state):
-    fresh = BregmanState.fresh(np.zeros_like(state.u))
-    fresh.u = state.u.copy()
-    fresh.dx = state.dx.copy()
-    fresh.dy = state.dy.copy()
-    fresh.ex = state.ex.copy()
-    fresh.ey = state.ey.copy()
-    return fresh
+    v, x0, dx, dy, ex, ey = (rng.normal(size=(n, n)) for _ in range(6))
+    theta = 0.9 * theta_bound(w, beta)
+    return w, theta, v + beta * theta * div_w(dx - ex, dy - ey, w), x0
 
 
 def test_criterion_01_inner_solvers_match_dense_oracle():
@@ -95,18 +83,17 @@ def test_criterion_01_inner_solvers_match_dense_oracle():
     worst = 0.0
     start = time.perf_counter()
     for _ in range(20):
-        w, v, state = _random_instance(rng)
         beta = 0.5
-        theta = 0.9 * theta_bound(w, beta)
+        w, theta, c, x0 = _random_instance(rng, beta)
         p = BregmanParams(
             lam=0.1, beta=beta, theta=theta, tau=1e-12, max_inner=2000
         )
-        exact, _ = direct_solve(v, _clone_state(state), w, p)
+        exact = direct_solve(c, w, p)
         ref = np.linalg.norm(exact)
         for solve, system in (
             (fwsb_linear_solve, FwsbSystem), (gauss_seidel_solve, GaussSeidelSystem)
         ):
-            x, _ = solve(v, _clone_state(state), w, p, system(w, beta, theta))
+            x, _ = solve(c, x0, p, system(w, beta, theta))
             worst = max(worst, float(np.linalg.norm(x - exact)) / ref)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed <= 1.0
@@ -123,9 +110,8 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
     worst_rho = 0.0
     worst_margin = -np.inf
     for _ in range(20):
-        w, v, state = _random_instance(rng)
         beta = 0.5
-        theta = 0.9 * theta_bound(w, beta)
+        w, theta, c, x0 = _random_instance(rng, beta)
         s = beta * theta
         rho = float(
             np.sqrt(
@@ -141,8 +127,9 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
         p = BregmanParams(
             lam=0.1, beta=beta, theta=theta, tau=1e-13, max_inner=400
         )
-        residuals = []
-        fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta), residuals=residuals)
+        system = FwsbSystem(w, beta, theta)
+        residuals = record_changes(system)
+        fwsb_linear_solve(c, x0, p, system)
         ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
         gmean = float(np.exp(np.mean(np.log(ratios))))
         worst_rho = max(worst_rho, rho)

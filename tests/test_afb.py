@@ -263,6 +263,9 @@ class TestModuleGlobalLookup:
     @pytest.mark.parametrize("inner", INNER_SOLVERS)
     def test_wrappers_see_every_call(self, monkeypatch, inner):
         counts = {"iters": 0, "gs_builds": 0, "weight_updates": 0}
+        # per linear-solve call, the max_inner of each argument that has one:
+        # the tracer reads max_inner_hits from that argument
+        caps = []
 
         def wrap(module, name, key, amount=lambda out: 1):
             original = getattr(module, name)
@@ -270,6 +273,9 @@ class TestModuleGlobalLookup:
             def wrapper(*args, **kwargs):
                 out = original(*args, **kwargs)
                 counts[key] += amount(out)
+                if key == "iters":
+                    values = (*args, *kwargs.values())
+                    caps.append([a.max_inner for a in values if hasattr(a, "max_inner")])
                 return out
 
             monkeypatch.setattr(module, name, wrapper)
@@ -285,6 +291,7 @@ class TestModuleGlobalLookup:
         )
         _, trace = afb_solve(model, z, cfg)
         assert counts["iters"] == sum(trace.inner_iters) > 0
+        assert caps and all(cfg.max_inner in call for call in caps)
         assert counts["weight_updates"] == len(trace) - 1
         expected_builds = counts["weight_updates"] if inner == "gauss_seidel" else 0
         assert counts["gs_builds"] == expected_builds

@@ -5,24 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    direct_solve,
+    laplacian_w,
+    objective_backward,
+    record_changes,
+    system_matrix,
+)
 from wtv.bregman import (
     BregmanParams,
-    BregmanState,
     FwsbSystem,
     GaussSeidelSystem,
     cut,
-    direct_solve,
     fwsb_linear_solve,
     gauss_seidel_solve,
-    objective_backward,
     soft,
     theta_bound,
     wsb_solve,
 )
-from wtv.dense import system_matrix
 from wtv.errors import ConfigError
 from wtv.grid import _stencil_coeffs, div_w, grad_w, unit_weights, weighted_tv
-from wtv.operators import power_method
+from wtv.operators import estimate_spectral_norm
 
 
 class TestSoftCut:
@@ -87,22 +90,22 @@ class TestBregmanParams:
             BregmanParams(lam=0.1, theta=0.1, beta=0.9, tau=0.0)
 
 
-def _random_state(rng, n):
-    st_ = BregmanState.fresh(rng.normal(size=(n, n)))
-    return BregmanState(
-        u=st_.u,
-        dx=rng.normal(size=(n, n)),
-        dy=rng.normal(size=(n, n)),
-        ex=rng.normal(size=(n, n)),
-        ey=rng.normal(size=(n, n)),
-    )
+def _random_system(rng, n, w, p):
+    """Right-hand side c and start x0 of a linear solve from random fields.
+
+    Draws the start, the auxiliary fields dx, dy, the Bregman fields ex, ey
+    and then v, and builds c = v + beta*theta*div_w(dx - ex, dy - ey) as
+    wsb_solve does.  Returns (c, x0, v, rx, ry) with r = d - e.
+    """
+    x0, dx, dy, ex, ey, v = (rng.normal(size=(n, n)) for _ in range(6))
+    rx, ry = dx - ex, dy - ey
+    return v + p.beta * p.theta * div_w(rx, ry, w), x0, v, rx, ry
 
 
-def _reference_fwsb(v, state, w, p):
+def _reference_fwsb(v, rx, ry, x0, w, p):
     """The fixed-point iteration through grad_w and div_w, with the solver's stopping rule."""
     bt = p.beta * p.theta
-    rx, ry = state.dx - state.ex, state.dy - state.ey
-    x = state.u.copy()
+    x = x0.copy()
     for m in range(1, p.max_inner + 1):
         gx, gy = grad_w(x, w)
         x_new = v + bt * div_w(rx - gx, ry - gy, w)
@@ -113,14 +116,13 @@ def _reference_fwsb(v, state, w, p):
     return x, m
 
 
-def _reference_gauss_seidel(v, state, w, p):
+def _reference_gauss_seidel(b, x0, w, p):
     """Lexicographic Gauss-Seidel one pixel at a time, with the solver's stopping rule."""
-    n, bt = v.shape[0], p.beta * p.theta
+    n, bt = b.shape[0], p.beta * p.theta
     ce, cw, cs, cn = _stencil_coeffs(w)
     inv_diag = 1.0 / (1.0 + bt * (ce + cw + cs + cn))
-    b = v + bt * div_w(state.dx - state.ex, state.dy - state.ey, w)
     x = np.zeros((n + 2, n + 2))  # zero ring: reads beyond the grid
-    x[1:-1, 1:-1] = state.u
+    x[1:-1, 1:-1] = x0
     for m in range(1, p.max_inner + 1):
         prev = x[1:-1, 1:-1].copy()
         for i, j in np.ndindex(n, n):
@@ -134,13 +136,33 @@ def _reference_gauss_seidel(v, state, w, p):
     return x[1:-1, 1:-1].copy(), m
 
 
+def _reference_wsb(v, w, p):
+    """The split-Bregman loop written out around the per-pixel Gauss-Seidel loop."""
+    bt, lvl = p.beta * p.theta, p.lam / p.theta
+    u = v.copy()
+    dx = dy = ex = ey = np.zeros_like(v)
+    total = 0
+    for sweep in range(1, p.max_outer + 1):
+        x, m = _reference_gauss_seidel(v + bt * div_w(dx - ex, dy - ey, w), u, w, p)
+        total += m
+        gx, gy = grad_w(x, w)
+        dx, dy, ex, ey = (
+            soft(gx + ex, lvl), soft(gy + ey, lvl), cut(gx + ex, lvl), cut(gy + ey, lvl)
+        )
+        diff, ref = np.linalg.norm(x - u), np.linalg.norm(u)
+        u = x
+        if (diff <= p.tau * ref) if ref >= 1e-14 else (diff <= p.tau):
+            break
+    return u, total, sweep
+
+
 class TestInnerSolvers:
     def test_near_identity_limit(self, rng, random_weights):
         # beta*theta -> 0 makes the system matrix approach I, so X -> b = v
         w = random_weights(8)
         v = rng.normal(size=(8, 8))
         p = BregmanParams(lam=0.1, theta=1e-12, beta=1e-3, tau=1e-13, max_inner=50)
-        x, m = fwsb_linear_solve(v, BregmanState.fresh(v), w, p, FwsbSystem(w, 1e-3, 1e-12))
+        x, m = fwsb_linear_solve(v, v, p, FwsbSystem(w, 1e-3, 1e-12))
         assert np.allclose(x, v, atol=1e-10)
 
     def test_fwsb_matches_dense_direct(self, rng, random_weights):
@@ -148,10 +170,9 @@ class TestInnerSolvers:
         beta = 0.5
         theta = 0.9 * theta_bound(w, beta)
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-12, max_inner=500)
-        state = _random_state(rng, 16)
-        v = rng.normal(size=(16, 16))
-        ref, _ = direct_solve(v, state, w, p)
-        x, m = fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta))
+        c, x0, *_ = _random_system(rng, 16, w, p)
+        ref = direct_solve(c, w, p)
+        x, m = fwsb_linear_solve(c, x0, p, FwsbSystem(w, beta, theta))
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
         assert 0 < m <= 500
 
@@ -160,11 +181,10 @@ class TestInnerSolvers:
         beta = 0.5
         theta = 0.9 * theta_bound(w, beta)
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-12, max_inner=500)
-        state = _random_state(rng, 16)
-        v = rng.normal(size=(16, 16))
-        ref, _ = direct_solve(v, state, w, p)
+        c, x0, *_ = _random_system(rng, 16, w, p)
+        ref = direct_solve(c, w, p)
         system = GaussSeidelSystem(w, beta, theta)
-        x, m = gauss_seidel_solve(v, state, w, p, system)
+        x, m = gauss_seidel_solve(c, x0, p, system)
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_solvers_agree_with_each_other(self, rng, random_weights):
@@ -172,10 +192,9 @@ class TestInnerSolvers:
         beta = 0.9
         theta = 0.5 * theta_bound(w, beta)
         p = BregmanParams(lam=0.2, theta=theta, beta=beta, tau=1e-11, max_inner=500)
-        state = _random_state(rng, 12)
-        v = rng.normal(size=(12, 12))
-        xf, _ = fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta))
-        xg, _ = gauss_seidel_solve(v, state, w, p, GaussSeidelSystem(w, beta, theta))
+        c, x0, *_ = _random_system(rng, 12, w, p)
+        xf, _ = fwsb_linear_solve(c, x0, p, FwsbSystem(w, beta, theta))
+        xg, _ = gauss_seidel_solve(c, x0, p, GaussSeidelSystem(w, beta, theta))
         assert np.allclose(xf, xg, atol=1e-8)
 
     def test_fwsb_refuses_theta_out_of_bound(self, random_weights):
@@ -184,8 +203,7 @@ class TestInnerSolvers:
         p = BregmanParams(lam=0.1, theta=1.01 * theta_bound(w, beta), beta=beta)
         with pytest.raises(ConfigError):
             fwsb_linear_solve(
-                np.zeros((8, 8)), BregmanState.fresh(np.zeros((8, 8))), w, p,
-                FwsbSystem(w, beta, p.theta),
+                np.zeros((8, 8)), np.zeros((8, 8)), p, FwsbSystem(w, beta, p.theta)
             )
         for factor in (1.0, 1.01):
             with pytest.raises(ConfigError):
@@ -200,10 +218,9 @@ class TestInnerSolvers:
         beta = 0.9
         theta = 0.9 * theta_bound(w, beta)
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=tau, max_inner=max_inner)
-        state = _random_state(rng, n)
-        v = rng.normal(size=(n, n))
-        x, m = fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta))
-        x_ref, m_ref = _reference_fwsb(v, state, w, p)
+        c, x0, v, rx, ry = _random_system(rng, n, w, p)
+        x, m = fwsb_linear_solve(c, x0, p, FwsbSystem(w, beta, theta))
+        x_ref, m_ref = _reference_fwsb(v, rx, ry, x0, w, p)
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
@@ -215,18 +232,14 @@ class TestInnerSolvers:
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-10, max_inner=300)
         system = FwsbSystem(w, beta, theta)
         for _ in range(3):
-            state = _random_state(rng, 16)
-            v = rng.normal(size=(16, 16))
-            x, m = fwsb_linear_solve(v, state, w, p, system)
-            x_fresh, m_fresh = fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta))
+            c, x0, *_ = _random_system(rng, 16, w, p)
+            x, m = fwsb_linear_solve(c, x0, p, system)
+            x_fresh, m_fresh = fwsb_linear_solve(c, x0, p, FwsbSystem(w, beta, theta))
             assert m == m_fresh
             assert np.array_equal(x, x_fresh)
 
     def test_fwsb_residual_contraction(self, rng, random_weights):
         # residual ratios stay at or below the spectral radius estimate
-        from wtv.grid import laplacian_w
-        from wtv.operators import estimate_spectral_norm
-
         w = random_weights(16)
         beta = 0.5
         theta = 0.9 * theta_bound(w, beta)
@@ -244,10 +257,10 @@ class TestInnerSolvers:
         assert rho < 1.0
 
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-13, max_inner=200)
-        state = _random_state(rng, 16)
-        v = rng.normal(size=(16, 16))
-        residuals = []
-        fwsb_linear_solve(v, state, w, p, FwsbSystem(w, beta, theta), residuals=residuals)
+        c, x0, *_ = _random_system(rng, 16, w, p)
+        system = FwsbSystem(w, beta, theta)
+        residuals = record_changes(system)
+        fwsb_linear_solve(c, x0, p, system)
         ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
         # geometric-mean contraction factor against the bound
         gmean = float(np.exp(np.mean(np.log(ratios))))
@@ -259,9 +272,7 @@ class TestInnerSolvers:
         w = random_weights(8)
         p = BregmanParams(lam=0.0, theta=0.0, beta=0.9, tau=1e-10)
         v = rng.normal(size=(8, 8))
-        x, m = gauss_seidel_solve(
-            v, BregmanState.fresh(np.zeros((8, 8))), w, p, GaussSeidelSystem(w, 0.9, 0.0)
-        )
+        x, m = gauss_seidel_solve(v, np.zeros((8, 8)), p, GaussSeidelSystem(w, 0.9, 0.0))
         assert m <= 2
         assert np.array_equal(x, v)
 
@@ -276,11 +287,10 @@ class TestInnerSolvers:
         beta = 0.9
         theta = 0.7 * theta_bound(w, beta)
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=tau, max_inner=max_inner)
-        state = _random_state(rng, n)
-        v = rng.normal(size=(n, n))
+        c, x0, *_ = _random_system(rng, n, w, p)
         system = GaussSeidelSystem(w, beta, theta)
-        x, m = gauss_seidel_solve(v, state, w, p, system)
-        x_ref, m_ref = _reference_gauss_seidel(v, state, w, p)
+        x, m = gauss_seidel_solve(c, x0, p, system)
+        x_ref, m_ref = _reference_gauss_seidel(c, x0, w, p)
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
         assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
@@ -290,7 +300,7 @@ class TestInnerSolvers:
         p = BregmanParams(lam=0.1, theta=0.01, beta=0.9)
         v = np.zeros((33, 33))
         with pytest.raises(ConfigError):
-            direct_solve(v, BregmanState.fresh(v), w, p)
+            direct_solve(v, w, p)
 
     def test_warm_start_zero_iterations_needed(self, rng, random_weights):
         # starting exactly at the solution stops after one cheap pass
@@ -298,12 +308,10 @@ class TestInnerSolvers:
         beta = 0.5
         theta = 0.9 * theta_bound(w, beta)
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-10, max_inner=300)
-        state = _random_state(rng, 12)
-        v = rng.normal(size=(12, 12))
+        c, x0, *_ = _random_system(rng, 12, w, p)
         system = FwsbSystem(w, beta, theta)
-        x1, m1 = fwsb_linear_solve(v, state, w, p, system)
-        warm = BregmanState(u=x1, dx=state.dx, dy=state.dy, ex=state.ex, ey=state.ey)
-        x2, m2 = fwsb_linear_solve(v, warm, w, p, system)
+        x1, m1 = fwsb_linear_solve(c, x0, p, system)
+        x2, m2 = fwsb_linear_solve(c, x1, p, system)
         assert m2 <= 2
         assert np.allclose(x2, x1, atol=1e-8)
 
@@ -365,6 +373,25 @@ class TestWsbSolve:
         assert objective_backward(u, ramp, w, 2.0, beta) <= objective_backward(
             ramp, ramp, w, 2.0, beta
         )
+
+    @pytest.mark.parametrize("tau, max_outer", [(1e-12, 4), (1e-4, 300)])
+    def test_gauss_seidel_loop_bitwise_equals_reference(
+        self, rng, random_weights, tau, max_outer
+    ):
+        # pins the loop's bookkeeping: which fields enter the right-hand
+        # side, in which order, and what each sweep and solve counts
+        w = random_weights(8)
+        beta = 0.9
+        theta = 0.5 * theta_bound(w, beta)
+        p = BregmanParams(
+            lam=0.1, theta=theta, beta=beta, tau=tau, max_outer=max_outer, max_inner=100
+        )
+        v = rng.normal(size=(8, 8))
+        u, total_inner, sweeps = wsb_solve(v, w, p, GaussSeidelSystem(w, beta, theta))
+        u_ref, total_ref, sweeps_ref = _reference_wsb(v, w, p)
+        assert (sweeps == max_outer) == (max_outer == 4)
+        assert (sweeps, total_inner) == (sweeps_ref, total_ref)
+        assert np.array_equal(u.view(np.int64), u_ref.view(np.int64))
 
     def test_inner_choices_converge_to_same_point(self, rng, random_weights):
         w = random_weights(12)

@@ -146,6 +146,10 @@ class TestExperimentConfigValidation:
             with pytest.raises(ConfigError, match="unknown solver"):
                 ExperimentConfig(problem="deblur", solvers=(name,))
 
+    def test_repeated_solver(self):
+        with pytest.raises(ConfigError, match="twice"):
+            ExperimentConfig(problem="deblur", solvers=("fwsb", "gauss_seidel", "fwsb"))
+
     def test_negative_noise(self):
         with pytest.raises(ConfigError, match="noise_variance"):
             ExperimentConfig(problem="deblur", noise_variance=-1.0)
@@ -282,6 +286,14 @@ class TestMain:
         for name in ("shepp_logan.grid", "shepp_logan.pgm", "cartoon.grid", "cartoon.pgm"):
             assert (tmp_path / "fix" / name).is_file()
 
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_fixtures_bad_size_exits_two_before_writing(self, tmp_path, capsys, n):
+        # n = 1 is too small for the phantom, n = 8 only for the cartoon
+        out = tmp_path / "fix"
+        assert main(["fixtures", "--out", str(out), "--n", str(n)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("problem = deblur\nwavelets = 3\n")
@@ -314,6 +326,13 @@ class TestMain:
     def test_direct_is_an_unknown_solver_exits_two_before_solving(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(tiny_config_text(tmp_path / "out", solvers="fwsb,direct"))
+        assert main(["run", str(cfg_path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_solver_exits_two_before_writing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(tiny_config_text(tmp_path / "out", solvers="fwsb,fwsb"))
         assert main(["run", str(cfg_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

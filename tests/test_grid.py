@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtv.dense import grad_matrices, laplacian_matrix, system_matrix
+from oracles import grad_matrices, laplacian_matrix, laplacian_w, system_matrix
 from wtv.errors import ConfigError
 from wtv.grid import (
     WeightField,
     div_w,
     grad_w,
     laplacian_inf_norm,
-    laplacian_w,
     read_grid,
     unit_weights,
     weighted_tv,
