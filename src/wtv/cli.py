@@ -181,6 +181,15 @@ def resolve_outdir(outdir: str) -> str:
     return outdir
 
 
+def _output_path(outdir: str, name: str) -> str:
+    """Path of an output file, creating its directory on first use.
+
+    So a run rejected before its first write leaves no directory behind.
+    """
+    os.makedirs(outdir, exist_ok=True)
+    return os.path.join(outdir, name)
+
+
 def build_problem(cfg: ExperimentConfig):
     """Ground truth, forward model and noisy data for a config."""
     if cfg.problem == "deblur":
@@ -216,7 +225,6 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
     """Run every configured solver on the experiment; returns per-solver rows."""
     truth, model, data, extras = build_problem(cfg)
     outdir = resolve_outdir(cfg.outdir)
-    os.makedirs(outdir, exist_ok=True)
     rows = []
     for name in cfg.solvers:
         scfg = replace(cfg.solver, inner=name)
@@ -227,9 +235,9 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
             if not quiet:
                 print(f"{name}: diverged ({exc})", file=sys.stderr)
             continue
-        _write_trace(os.path.join(outdir, f"trace_{name}.csv"), trace)
-        write_pgm(os.path.join(outdir, f"recon_{name}.pgm"), u)
-        write_grid(os.path.join(outdir, f"recon_{name}.grid"), u)
+        _write_trace(_output_path(outdir, f"trace_{name}.csv"), trace)
+        write_pgm(_output_path(outdir, f"recon_{name}.pgm"), u)
+        write_grid(_output_path(outdir, f"recon_{name}.grid"), u)
         rows.append(
             {
                 "solver": name,
@@ -245,7 +253,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
                 f"{name}: psnr={_fmt_psnr(trace.psnr[-1])} dB, "
                 f"{trace.cum_seconds[-1]:.3f} s, {trace.iterations[-1]} iterations"
             )
-    with open(os.path.join(outdir, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
+    with open(_output_path(outdir, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("solver,status,psnr,seconds,fb_iters,converged\n")
         for row in rows:
             if row["status"] == "ok":
@@ -256,7 +264,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
                 )
             else:
                 fh.write(f"{row['solver']},diverged,,,,\n")
-    with open(os.path.join(outdir, "config_resolved.cfg"), "w", encoding="utf-8") as fh:
+    with open(_output_path(outdir, "config_resolved.cfg"), "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
         for key, value in extras.items():
             fh.write(f"# {key} = {value!r}\n")
@@ -267,21 +275,26 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
 
 
 def sweep_lambda(cfg: ExperimentConfig, lambdas, quiet: bool = False):
-    """Rerun the primary (first) solver per lambda; returns the curve rows."""
-    values = [float(v) for v in lambdas]
+    """Rerun the primary (first) solver per lambda; returns the curve rows.
+
+    Every lambda is parsed and checked before the first solve.
+    """
+    try:
+        values = [float(v) for v in lambdas]
+    except ValueError as exc:
+        raise ConfigError(f"bad lambda value: {exc}") from None
     if not values:
         raise ConfigError("lambda sweep needs at least one value")
+    primary = cfg.solvers[0]
+    solver_cfgs = [replace(cfg.solver, inner=primary, lam=lam, r0=None) for lam in values]
     truth, model, data, _ = build_problem(cfg)
     outdir = resolve_outdir(cfg.outdir)
-    os.makedirs(outdir, exist_ok=True)
-    primary = cfg.solvers[0]
     rows = []
-    for lam in values:
-        scfg = replace(cfg.solver, inner=primary, lam=lam, r0=None)
+    for scfg in solver_cfgs:
         u, trace = afb_solve(model, data, scfg, reference=truth)
         rows.append(
             {
-                "lam": lam,
+                "lam": scfg.lam,
                 "psnr": trace.psnr[-1],
                 "seconds": trace.cum_seconds[-1],
                 "fb_iters": trace.iterations[-1],
@@ -289,10 +302,10 @@ def sweep_lambda(cfg: ExperimentConfig, lambdas, quiet: bool = False):
         )
         if not quiet:
             print(
-                f"lambda={lam!r}: psnr={_fmt_psnr(trace.psnr[-1])} dB, "
+                f"lambda={scfg.lam!r}: psnr={_fmt_psnr(trace.psnr[-1])} dB, "
                 f"{trace.iterations[-1]} iterations"
             )
-    with open(os.path.join(outdir, "lambda_sweep.csv"), "w", encoding="utf-8", newline="") as fh:
+    with open(_output_path(outdir, "lambda_sweep.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("lambda,psnr,seconds,fb_iters\n")
         for row in rows:
             fh.write(
@@ -335,10 +348,9 @@ def _cmd_fixtures(args) -> int:
     # built first, so that a bad size exits 2 before anything is written
     images = (("shepp_logan", shepp_logan(args.n)), ("cartoon", piecewise_test_image(args.n)))
     outdir = resolve_outdir(args.out)
-    os.makedirs(outdir, exist_ok=True)
     for name, img in images:
-        write_grid(os.path.join(outdir, f"{name}.grid"), img)
-        write_pgm(os.path.join(outdir, f"{name}.pgm"), img)
+        write_grid(_output_path(outdir, f"{name}.grid"), img)
+        write_pgm(_output_path(outdir, f"{name}.pgm"), img)
     print(f"wrote fixtures to {outdir}")
     return 0
 

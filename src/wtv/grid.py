@@ -71,19 +71,18 @@ def unit_weights(n: int) -> WeightField:
     return WeightField(np.ones((n, n)), np.ones((n, n)))
 
 
-def grad_w(u: np.ndarray, w: WeightField):
-    """Weighted forward differences of u.
+def grad_w(u: np.ndarray, w: WeightField) -> np.ndarray:
+    """Weighted forward differences of u, stacked in one (2, n, n) array.
 
-    Returns (gx, gy) with gx[i, j] = wx[i, j] * (u[i, j+1] - u[i, j]) and
-    zero in the last column; gy analogously along rows with zero in the
-    last row.
+    g[0, i, j] = wx[i, j] * (u[i, j+1] - u[i, j]) with zero in the last
+    column; g[1] analogously along rows with zero in the last row.  So
+    `gx, gy = grad_w(u, w)` unpacks the two fields.
     """
     _require_same_shape(u, w.wx)
-    gx = np.zeros_like(u)
-    gy = np.zeros_like(u)
-    gx[:, :-1] = w.wx[:, :-1] * (u[:, 1:] - u[:, :-1])
-    gy[:-1, :] = w.wy[:-1, :] * (u[1:, :] - u[:-1, :])
-    return gx, gy
+    g = np.zeros((2, *u.shape), u.dtype)
+    g[0, :, :-1] = w.wx[:, :-1] * (u[:, 1:] - u[:, :-1])
+    g[1, :-1, :] = w.wy[:-1, :] * (u[1:, :] - u[:-1, :])
+    return g
 
 
 def div_w(gx: np.ndarray, gy: np.ndarray, w: WeightField) -> np.ndarray:

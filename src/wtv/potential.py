@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import WeightField, grad_w, unit_weights
+from .grid import WeightField, grad_w, unit_weights, weighted_tv
 
 __all__ = ["LogExpParams", "phi", "phi_prime", "compute_weights", "default_mu"]
 
@@ -54,9 +54,7 @@ def phi_prime(t, p: LogExpParams):
 
 def compute_weights(u: np.ndarray, p: LogExpParams) -> WeightField:
     """Weight field phi'(|forward differences of u|), floored to stay positive."""
-    ux, uy = grad_w(u, unit_weights(u.shape[0]))
-    wx = np.maximum(phi_prime(ux, p), _WEIGHT_FLOOR)
-    wy = np.maximum(phi_prime(uy, p), _WEIGHT_FLOOR)
+    wx, wy = np.maximum(phi_prime(grad_w(u, unit_weights(u.shape[0])), p), _WEIGHT_FLOOR)
     return WeightField(wx, wy)
 
 
@@ -66,5 +64,4 @@ def default_mu(u0: np.ndarray) -> float:
     Grows roughly with n^2 for natural images, so callers normally rescale
     it before building LogExpParams.
     """
-    ux, uy = grad_w(u0, unit_weights(u0.shape[0]))
-    return float(np.abs(ux).sum() + np.abs(uy).sum())
+    return weighted_tv(u0, unit_weights(u0.shape[0]))

@@ -347,8 +347,12 @@ class TestMain:
             {"blur_size": 4},
             {"noise_variance": "nan"},
             {"seed": -1},
+            {"beta": 1.5},
         ],
-        ids=["tau", "max_inner", "mask_lines", "blur_sigma", "blur_size", "noise", "seed"],
+        ids=[
+            "tau", "max_inner", "mask_lines", "blur_sigma", "blur_size", "noise", "seed",
+            "beta",
+        ],
     )
     def test_out_of_range_value_exits_two_before_writing(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "exp.cfg"
@@ -357,6 +361,16 @@ class TestMain:
             assert main(argv) == 2
             assert "configuration error" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lambdas", ["abc", "1e-3,-1", "1e-3,nan"])
+    def test_bad_lambda_exits_two_before_writing(self, tmp_path, capsys, lambdas):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(tiny_config_text(tmp_path / "out"))
+        assert main(["sweep", str(cfg_path), "--lambda", lambdas]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert "lambda=" not in captured.out  # no solve ran
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_four(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 4
