@@ -20,7 +20,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .bregman import INNER_SOLVERS
 from .errors import ConfigError, DivergenceError
@@ -38,7 +38,11 @@ ENV_OUTPUT_ROOT = "WTV_OUTPUT_ROOT"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a test problem plus solver settings and outputs."""
+    """One experiment: a test problem plus solver settings and outputs.
+
+    Each field but solver, and each field of SolverConfig but inner, is a
+    config file key; see _KEYS.
+    """
 
     problem: str
     n: int = 256
@@ -71,53 +75,40 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-# config file key -> (target, attribute, parser)
-_BOOL = {"true": True, "false": False}
-
-
 def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOL[text.lower()]
-    except KeyError:
-        raise ConfigError(f"expected true/false, got {text!r}") from None
+    if text.lower() not in ("true", "false"):
+        raise ConfigError(f"expected true/false, got {text!r}")
+    return text.lower() == "true"
 
 
 def _parse_solvers(text: str) -> tuple:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-_EXPERIMENT_KEYS = {
-    "problem": str,
-    "n": int,
-    "seed": int,
-    "noise_variance": float,
-    "blur_sigma": float,
-    "blur_size": int,
-    "mask_lines": int,
-    "solvers": _parse_solvers,
-    "outdir": str,
+# Parser per field annotation; under `from __future__ import annotations`
+# both config dataclasses keep their annotations as these strings.
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "bool": _parse_bool,
+    "tuple": _parse_solvers,
 }
 
-_SOLVER_KEYS = {
-    "lambda": ("lam", float),
-    "beta": ("beta", float),
-    "a": ("a", float),
-    "epsilon": ("epsilon", float),
-    "max_fb": ("max_fb", int),
-    "weight_mode": ("weight_mode", str),
-    "mu_scale": ("mu_scale", float),
-    "r0": ("r0", float),
-    "no_accel": ("no_accel", _parse_bool),
-    "tau": ("tau", float),
-    "max_outer": ("max_outer", int),
-    "max_inner": ("max_inner", int),
+# config file key -> (dataclass, field, parser), in field order; lam is
+# spelled out as `lambda` in files
+_KEYS = {
+    "lambda" if f.name == "lam" else f.name: (cls, f.name, _PARSERS[f.type])
+    for cls, nested in ((ExperimentConfig, "solver"), (SolverConfig, "inner"))
+    for f in fields(cls)
+    if f.name != nested
 }
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key = value format; unknown keys are errors."""
-    exp_kw: dict = {}
-    sol_kw: dict = {}
+    kwargs = {ExperimentConfig: {}, SolverConfig: {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -127,22 +118,20 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        cls, attr, parse = _KEYS[key]
         try:
-            if key in _EXPERIMENT_KEYS:
-                exp_kw[key] = _EXPERIMENT_KEYS[key](value)
-            elif key in _SOLVER_KEYS:
-                attr, conv = _SOLVER_KEYS[key]
-                sol_kw[attr] = conv(value)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except (ValueError, TypeError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
+            kwargs[cls][attr] = parse(value)
+        except ConfigError:
+            raise
+        except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
+    exp_kw, sol_kw = kwargs.values()
     if "problem" not in exp_kw:
         raise ConfigError("config must set 'problem'")
     if "lam" not in sol_kw and "r0" not in sol_kw:
-        sol_kw["lam"] = 1e-3
+        sol_kw["lam"] = ExperimentConfig.solver.lam
     return ExperimentConfig(solver=SolverConfig(**sol_kw), **exp_kw)
 
 
@@ -159,19 +148,20 @@ def _format_value(value) -> str:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Emit every set key in a stable order; parse(serialize(c)) == c."""
     lines = []
-    for key in _EXPERIMENT_KEYS:
-        lines.append(f"{key} = {_format_value(getattr(cfg, key))}")
-    for key, (attr, _) in _SOLVER_KEYS.items():
-        value = getattr(cfg.solver, attr)
-        if value is None:
-            continue
-        lines.append(f"{key} = {_format_value(value)}")
+    for key, (cls, attr, _) in _KEYS.items():
+        value = getattr(cfg if cls is ExperimentConfig else cfg.solver, attr)
+        if value is not None:
+            lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    return parse_config(text)
 
 
 def resolve_outdir(outdir: str) -> str:
@@ -221,7 +211,7 @@ def _write_trace(path, trace) -> None:
             )
 
 
-def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
+def run_experiment(cfg: ExperimentConfig):
     """Run every configured solver on the experiment; returns per-solver rows."""
     truth, model, data, extras = build_problem(cfg)
     outdir = resolve_outdir(cfg.outdir)
@@ -232,8 +222,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
             u, trace = afb_solve(model, data, scfg, reference=truth)
         except DivergenceError as exc:
             rows.append({"solver": name, "status": "diverged", "detail": str(exc)})
-            if not quiet:
-                print(f"{name}: diverged ({exc})", file=sys.stderr)
+            print(f"{name}: diverged ({exc})", file=sys.stderr)
             continue
         _write_trace(_output_path(outdir, f"trace_{name}.csv"), trace)
         write_pgm(_output_path(outdir, f"recon_{name}.pgm"), u)
@@ -248,11 +237,10 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
                 "converged": trace.rel_change[-1] < scfg.epsilon,
             }
         )
-        if not quiet:
-            print(
-                f"{name}: psnr={_fmt_psnr(trace.psnr[-1])} dB, "
-                f"{trace.cum_seconds[-1]:.3f} s, {trace.iterations[-1]} iterations"
-            )
+        print(
+            f"{name}: psnr={_fmt_psnr(trace.psnr[-1])} dB, "
+            f"{trace.cum_seconds[-1]:.3f} s, {trace.iterations[-1]} iterations"
+        )
     with open(_output_path(outdir, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("solver,status,psnr,seconds,fb_iters,converged\n")
         for row in rows:
@@ -268,13 +256,12 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
         fh.write(serialize_config(cfg))
         for key, value in extras.items():
             fh.write(f"# {key} = {value!r}\n")
-    if extras and not quiet:
-        for key, value in extras.items():
-            print(f"{key} = {value}")
+    for key, value in extras.items():
+        print(f"{key} = {value}")
     return rows
 
 
-def sweep_lambda(cfg: ExperimentConfig, lambdas, quiet: bool = False):
+def sweep_lambda(cfg: ExperimentConfig, lambdas):
     """Rerun the primary (first) solver per lambda; returns the curve rows.
 
     Every lambda is parsed and checked before the first solve.
@@ -300,11 +287,10 @@ def sweep_lambda(cfg: ExperimentConfig, lambdas, quiet: bool = False):
                 "fb_iters": trace.iterations[-1],
             }
         )
-        if not quiet:
-            print(
-                f"lambda={scfg.lam!r}: psnr={_fmt_psnr(trace.psnr[-1])} dB, "
-                f"{trace.iterations[-1]} iterations"
-            )
+        print(
+            f"lambda={scfg.lam!r}: psnr={_fmt_psnr(trace.psnr[-1])} dB, "
+            f"{trace.iterations[-1]} iterations"
+        )
     with open(_output_path(outdir, "lambda_sweep.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("lambda,psnr,seconds,fb_iters\n")
         for row in rows:
@@ -313,8 +299,7 @@ def sweep_lambda(cfg: ExperimentConfig, lambdas, quiet: bool = False):
                 f"{row['seconds']:.3f},{row['fb_iters']}\n"
             )
     best = max(rows, key=lambda r: r["psnr"])
-    if not quiet:
-        print(f"best: lambda={best['lam']!r} at {_fmt_psnr(best['psnr'])} dB")
+    print(f"best: lambda={best['lam']!r} at {_fmt_psnr(best['psnr'])} dB")
     return rows, best
 
 

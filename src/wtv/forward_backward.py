@@ -83,14 +83,14 @@ class SolverConfig:
             raise ConfigError(f"r0 must be positive, got {self.r0}")
         if not self.beta > 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
-        if not self.a > 0:
-            raise ConfigError(f"a must be positive, got {self.a}")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ConfigError(f"a must be positive and finite, got {self.a}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_fb < 1:
             raise ConfigError("max_fb must be at least 1")
-        if not self.mu_scale > 0:
-            raise ConfigError(f"mu_scale must be positive, got {self.mu_scale}")
+        if not (math.isfinite(self.mu_scale) and self.mu_scale > 0):
+            raise ConfigError(f"mu_scale must be positive and finite, got {self.mu_scale}")
         if not self.tau > 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.max_outer < 1 or self.max_inner < 1:

@@ -169,7 +169,10 @@ def read_grid(path) -> np.ndarray:
         head = fh.read(len(_MAGIC))
         if head != _MAGIC:
             raise ConfigError(f"{path}: not a grid file (bad magic {head!r})")
-        n, kind = struct.unpack("<IB", fh.read(5))
+        header = fh.read(5)
+        if len(header) < 5:
+            raise ConfigError(f"{path}: file ends inside the grid header")
+        n, kind = struct.unpack("<IB", header)
         if kind not in (0, 1):
             raise ConfigError(f"{path}: unknown payload kind {kind}")
         dtype = "<f8" if kind == 0 else "<c16"
@@ -184,13 +187,10 @@ def read_grid(path) -> np.ndarray:
     ).reshape(n, n)
 
 
-def write_pgm(path, img: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> None:
-    """Write a real image as 16-bit binary PGM, clipping to [lo, hi]."""
+def write_pgm(path, img: np.ndarray) -> None:
+    """Write a real image as 16-bit binary PGM, clipping to [0, 1]."""
     _require_square(img, "image")
-    if hi <= lo:
-        raise ValueError("hi must exceed lo")
-    scaled = (np.clip(img, lo, hi) - lo) / (hi - lo)
-    samples = np.round(scaled * 65535.0).astype(">u2")
+    samples = np.round(np.clip(img, 0.0, 1.0) * 65535.0).astype(">u2")
     n = img.shape[0]
     with open(path, "wb") as fh:
         fh.write(f"P5\n{n} {n}\n65535\n".encode("ascii"))

@@ -74,7 +74,7 @@ class GaussianBlurModel(ForwardModel):
     residue, making apply and adjoint literally the same computation.
     """
 
-    def __init__(self, n: int, sigma: float = 1.5, size: int = 9):
+    def __init__(self, n: int, sigma: float, size: int):
         if n < size:
             raise ConfigError(f"grid side {n} smaller than kernel size {size}")
         self.n = n

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .grid import WeightField, grad_w, unit_weights, weighted_tv
 
 __all__ = ["LogExpParams", "phi", "phi_prime", "compute_weights", "default_mu"]
@@ -36,7 +37,7 @@ class LogExpParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+            raise ConfigError(f"mu must be positive and finite, got {self.mu}")
 
 
 def phi(t, p: LogExpParams):

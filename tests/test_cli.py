@@ -1,6 +1,7 @@
 """Config parsing, the experiment harness, and the command line front end."""
 
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,9 @@ from wtv.grid import read_grid
 
 from test_acceptance import CRITERION_7_SOLVER, CRITERION_8_SOLVER
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+README = ROOT / "README.md"
 PRESETS = (
     "deblur256.cfg",
     "cs256_lines8.cfg",
@@ -119,6 +122,40 @@ class TestParseConfig:
         cfg = tiny_experiment(tmp_path, weight_mode="adaptive", no_accel=True)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_roundtrip_every_key(self, tmp_path):
+        # every field off its default, lambda and r0 both set
+        solver = SolverConfig(
+            lam=0.02,
+            beta=0.5,
+            a=3.0,
+            epsilon=1e-5,
+            max_fb=7,
+            weight_mode="adaptive",
+            mu_scale=0.25,
+            r0=0.05,
+            no_accel=True,
+            tau=1e-3,
+            max_outer=4,
+            max_inner=6,
+        )
+        cfg = ExperimentConfig(
+            problem="cs_mri",
+            n=64,
+            seed=9,
+            noise_variance=1e-3,
+            blur_sigma=2.5,
+            blur_size=7,
+            mask_lines=12,
+            solvers=("gauss_seidel", "fwsb"),
+            outdir=str(tmp_path),
+            solver=solver,
+        )
+        text = serialize_config(cfg)
+        # README's key table lists the keys in the order they are written
+        readme_keys = re.findall(r"^\| `(\w+)` \|", README.read_text(encoding="utf-8"), re.M)
+        assert [line.split(" = ")[0] for line in text.splitlines()] == readme_keys
+        assert parse_config(text) == cfg
+
     def test_roundtrip_r0(self, tmp_path):
         solver = SolverConfig(r0=0.05, beta=0.4)
         cfg = ExperimentConfig(problem="cs_mri", outdir=str(tmp_path), solver=solver)
@@ -158,7 +195,7 @@ class TestExperimentConfigValidation:
 class TestRunExperiment:
     def test_output_files(self, tmp_path):
         cfg = tiny_experiment(tmp_path)
-        rows = run_experiment(cfg, quiet=True)
+        rows = run_experiment(cfg)
         assert len(rows) == 1 and rows[0]["status"] == "ok"
         for name in (
             "trace_fwsb.csv",
@@ -171,7 +208,7 @@ class TestRunExperiment:
 
     def test_summary_matches_trace(self, tmp_path):
         cfg = tiny_experiment(tmp_path)
-        run_experiment(cfg, quiet=True)
+        run_experiment(cfg)
         trace_lines = (tmp_path / "trace_fwsb.csv").read_text().strip().splitlines()
         last_psnr = trace_lines[-1].split(",")[1]
         summary = (tmp_path / "summary.csv").read_text().strip().splitlines()
@@ -182,12 +219,12 @@ class TestRunExperiment:
 
     def test_resolved_config_parses_back(self, tmp_path):
         cfg = tiny_experiment(tmp_path)
-        run_experiment(cfg, quiet=True)
+        run_experiment(cfg)
         assert load_config(tmp_path / "config_resolved.cfg") == cfg
 
     def test_recon_grid_matches_trace_scale(self, tmp_path):
         cfg = tiny_experiment(tmp_path)
-        run_experiment(cfg, quiet=True)
+        run_experiment(cfg)
         u = read_grid(tmp_path / "recon_fwsb.grid")
         assert u.shape == (32, 32)
         assert np.all(np.isfinite(u))
@@ -196,7 +233,7 @@ class TestRunExperiment:
         rows = []
         for sub in ("a", "b"):
             cfg = tiny_experiment(tmp_path / sub)
-            run_experiment(cfg, quiet=True)
+            run_experiment(cfg)
             text = (tmp_path / sub / "trace_fwsb.csv").read_text()
             # drop the wall-clock column, everything else must match bitwise
             rows.append(
@@ -214,7 +251,7 @@ class TestRunExperiment:
             outdir=str(tmp_path),
             solver=solver,
         )
-        run_experiment(cfg, quiet=True)
+        run_experiment(cfg)
         text = (tmp_path / "config_resolved.cfg").read_text()
         assert "sampling_pct" in text
         assert load_config(tmp_path / "config_resolved.cfg") == cfg
@@ -223,7 +260,7 @@ class TestRunExperiment:
 class TestSweep:
     def test_curve_rows_and_file(self, tmp_path):
         cfg = tiny_experiment(tmp_path)
-        rows, best = sweep_lambda(cfg, [1e-3, 5e-4], quiet=True)
+        rows, best = sweep_lambda(cfg, [1e-3, 5e-4])
         assert [r["lam"] for r in rows] == [1e-3, 5e-4]
         assert best["psnr"] == max(r["psnr"] for r in rows)
         lines = (tmp_path / "lambda_sweep.csv").read_text().strip().splitlines()
@@ -232,7 +269,7 @@ class TestSweep:
 
     def test_empty_sweep_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one"):
-            sweep_lambda(tiny_experiment(tmp_path), [], quiet=True)
+            sweep_lambda(tiny_experiment(tmp_path), [])
 
 
 class TestOutputRoot:
@@ -251,7 +288,7 @@ class TestOutputRoot:
     def test_run_respects_root(self, monkeypatch, tmp_path):
         monkeypatch.setenv("WTV_OUTPUT_ROOT", str(tmp_path))
         cfg = tiny_experiment("nested/run1")
-        run_experiment(cfg, quiet=True)
+        run_experiment(cfg)
         assert (tmp_path / "nested" / "run1" / "summary.csv").is_file()
 
 
@@ -299,6 +336,14 @@ class TestMain:
         cfg_path.write_text("problem = deblur\nwavelets = 3\n")
         assert main(["run", str(cfg_path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        text = tiny_config_text(tmp_path / "out") + "# r\xe9sum\xe9 in Latin-1\n"
+        cfg_path.write_bytes(text.encode("latin-1"))
+        assert main(["run", str(cfg_path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_all_diverged_exits_three(self, tmp_path, monkeypatch, capsys):
         def explode(model, data, scfg, reference=None):
@@ -348,10 +393,13 @@ class TestMain:
             {"noise_variance": "nan"},
             {"seed": -1},
             {"beta": 1.5},
+            {"mu_scale": "inf"},
+            {"mu_scale": 1e308},  # finite, but times the automatic width it is not
+            {"a": "inf"},
         ],
         ids=[
             "tau", "max_inner", "mask_lines", "blur_sigma", "blur_size", "noise", "seed",
-            "beta",
+            "beta", "mu_scale_inf", "mu_scale_overflow", "a_inf",
         ],
     )
     def test_out_of_range_value_exits_two_before_writing(self, tmp_path, capsys, bad):

@@ -228,9 +228,12 @@ class TestGridIO:
     def test_truncated_payload_rejected(self, tmp_path):
         p = tmp_path / "t.grid"
         write_grid(p, np.zeros((4, 4)))
-        p.write_bytes(p.read_bytes()[:-8])
-        with pytest.raises(ConfigError):
-            read_grid(p)
+        whole = p.read_bytes()
+        # inside the payload, then inside the 5-byte size and kind header
+        for end in (len(whole) - 8, 10):
+            p.write_bytes(whole[:end])
+            with pytest.raises(ConfigError):
+                read_grid(p)
 
 
 class TestPGM:
