@@ -13,10 +13,13 @@ then shrinks.  wsb_solve builds c once per sweep from the two fields it
 carries, each stacked as one (2, n, n) array: the Bregman field e and
 the residual d - e of the auxiliary field d.  Since d = soft(z) =
 z - cut(z), one cut per sweep updates both, and d itself is never
-formed.  Each linear solver takes c and a start iterate and runs on a
-prepared system, built once per weight field, that holds the
-beta*theta-scaled five-point stencil.  Two interchangeable linear
-solvers are provided:
+formed.  The fields, c and the step U_new - U live in buffers allocated
+once per call: div_w, grad_w and cut write into them through their out=
+arguments, so a sweep allocates nothing beyond div_w's one scratch array
+and the linear solve's own.  Each linear solver takes c and a start
+iterate and runs on a prepared system, built once per weight field,
+that holds the beta*theta-scaled five-point stencil.  Two
+interchangeable linear solvers are provided:
 
 * fwsb_linear_solve: fixed-point iteration X <- c + beta*theta*Lap_w X
   from the identity splitting of the system matrix, with c the right-hand
@@ -69,9 +72,12 @@ def soft(z, threshold):
     return np.sign(z) * np.maximum(np.abs(z) - threshold, 0.0)
 
 
-def cut(z, threshold):
-    """Complement of soft-shrinkage: clamps z to [-threshold, threshold]."""
-    return np.clip(z, -threshold, threshold)
+def cut(z, threshold, out=None):
+    """Complement of soft-shrinkage: clamps z to [-threshold, threshold].
+
+    Writes into out when given, as np.clip does.
+    """
+    return np.clip(z, -threshold, threshold, out=out)
 
 
 def theta_bound(w: WeightField, beta: float) -> float:
@@ -105,8 +111,8 @@ class BregmanParams:
             raise ConfigError("theta == 0 requires lam == 0")
         if not self.beta > 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ConfigError("iteration caps must be at least 1")
 
@@ -308,7 +314,11 @@ def wsb_solve(
     Each sweep builds c = v + beta*theta*div_w(r), solves for U from the
     previous U, and shrinks the shifted differences z = grad_w(U) + e:
     e = cut(z) and d = soft(z) = z - cut(z), so r = (z - e) - e, which
-    equals soft(z) - cut(z) bit for bit wherever it is nonzero.  It stops
+    equals soft(z) - cut(z) bit for bit wherever it is nonzero.  e, r, c
+    and U's change are buffers allocated once per call, which div_w,
+    grad_w and cut fill in place; the loop looks those three up as
+    module-global names, once per sweep each, so a wrapper bound to a
+    name (a tracer, say) sees every call.  It stops
     once U's relative change falls below tau (or max_outer is hit).
     system is the inner solver's prepared system for w, p.beta and p.theta,
     and its type picks the linear solver: fwsb_linear_solve for an
@@ -318,20 +328,23 @@ def wsb_solve(
     solve = fwsb_linear_solve if isinstance(system, FwsbSystem) else gauss_seidel_solve
     bt, lvl = p.beta * p.theta, p.shrink_threshold
     u = v
-    e = r = np.zeros((2, *v.shape))
+    e, r = np.zeros((2, 2, *v.shape))
+    c, step = np.empty((2, *v.shape))
     total_inner = 0
     for outer in range(1, p.max_outer + 1):
-        x, m = solve(v + bt * div_w(r[0], r[1], w), u, p, system)
+        div_w(r[0], r[1], w, out=c)
+        c *= bt
+        c += v
+        x, m = solve(c, u, p, system)
         total_inner += m
-        # z = grad_w(U) + e, then r = (z - e) - e, all in the buffer
-        # grad_w returns: two fewer arrays per sweep cut a 128x128 solve's
-        # page faults by a sixth
-        r = grad_w(x, w)
+        # z = grad_w(U) + e in r, then e = cut(z) and r = (z - e) - e
+        grad_w(x, w, out=r)
         r += e
-        e = cut(r, lvl)
+        cut(r, lvl, out=e)
         r -= e
         r -= e
-        diff, ref = float(np.linalg.norm(x - u)), float(np.linalg.norm(u))
+        diff = float(np.linalg.norm(np.subtract(x, u, out=step)))
+        ref = float(np.linalg.norm(u))
         u = x
         if _rel_change_done(diff, ref, p.tau):
             break

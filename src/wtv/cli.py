@@ -138,8 +138,6 @@ def parse_config(text: str) -> ExperimentConfig:
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     if isinstance(value, tuple):
         return ",".join(value)
     return str(value)

@@ -26,7 +26,7 @@ from .errors import ConfigError, DivergenceError
 from .grid import WeightField, unit_weights, weighted_tv
 from .metrics import Stopwatch, psnr
 from .operators import ForwardModel, power_method
-from .potential import LogExpParams, compute_weights, default_mu
+from .potential import MIN_MU, LogExpParams, compute_weights, default_mu
 
 __all__ = [
     "SolverConfig",
@@ -85,14 +85,14 @@ class SolverConfig:
             raise ConfigError(f"beta must be positive, got {self.beta}")
         if not (math.isfinite(self.a) and self.a > 0):
             raise ConfigError(f"a must be positive and finite, got {self.a}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_fb < 1:
             raise ConfigError("max_fb must be at least 1")
         if not (math.isfinite(self.mu_scale) and self.mu_scale > 0):
             raise ConfigError(f"mu_scale must be positive and finite, got {self.mu_scale}")
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ConfigError("iteration caps must be at least 1")
 
@@ -159,7 +159,11 @@ def _build_weights(u: np.ndarray, cfg: SolverConfig, mu: float | None):
     if cfg.weight_mode == "uniform":
         return unit_weights(u.shape[0]), None
     if mu is None:
-        mu = cfg.mu_scale * default_mu(u)
+        width = default_mu(u)
+        mu = cfg.mu_scale * width
+        if mu > 0 and not MIN_MU <= mu < math.inf:
+            raise ConfigError(f"mu_scale={cfg.mu_scale!r} times the automatic width "
+                              f"{width!r} gives mu={mu!r}, outside [{MIN_MU:g}, inf)")
     if mu <= 0:
         # perfectly flat start image: no edges to adapt to
         return unit_weights(u.shape[0]), mu

@@ -5,6 +5,10 @@ pixel (i, j) to linear index k = i*n + j.  A weight field carries one positive
 multiplier per pixel and per direction; the weighted gradient applies forward
 differences scaled by those multipliers, with the difference at the last
 column (x) and last row (y) set to zero, i.e. replicate boundary handling.
+grad_w and div_w run on that flattened layout, where the x and y
+neighbours of pixel k sit at k+1 and k+n, so each term is one contiguous
+slice.  Each takes an optional out= array to fill instead of allocating
+its result; it must be C-contiguous with the result's shape and dtype.
 
 div_w is the exact transpose of grad_w, so <grad_w(u), (gx, gy)> equals
 <u, div_w(gx, gy)> for every input.  The weighted Laplacian is the five-point
@@ -71,38 +75,70 @@ def unit_weights(n: int) -> WeightField:
     return WeightField(np.ones((n, n)), np.ones((n, n)))
 
 
-def grad_w(u: np.ndarray, w: WeightField) -> np.ndarray:
+def _require_out(out, shape, dtype) -> np.ndarray:
+    """out, or a new array; a given out must be C-contiguous of shape and dtype.
+
+    The operators write through out.ravel(), which copies any other layout,
+    so a strided out would silently keep its old values.
+    """
+    if out is None:
+        return np.empty(shape, dtype)
+    if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {shape}")
+    return out
+
+
+def grad_w(u: np.ndarray, w: WeightField, out=None) -> np.ndarray:
     """Weighted forward differences of u, stacked in one (2, n, n) array.
 
     g[0, i, j] = wx[i, j] * (u[i, j+1] - u[i, j]) with zero in the last
     column; g[1] analogously along rows with zero in the last row.  So
-    `gx, gy = grad_w(u, w)` unpacks the two fields.
+    `gx, gy = grad_w(u, w)` unpacks the two fields.  Both differences run
+    on the flattened image as contiguous shifts by 1 and n; the shift by 1
+    also pairs each row's last pixel with the next row's first, and those
+    entries are overwritten with the boundary zeros.  The result is written
+    into out when given (see _require_out) and returned.
     """
     _require_same_shape(u, w.wx)
-    g = np.zeros((2, *u.shape), u.dtype)
-    g[0, :, :-1] = w.wx[:, :-1] * (u[:, 1:] - u[:, :-1])
-    g[1, :-1, :] = w.wy[:-1, :] * (u[1:, :] - u[:-1, :])
+    n = u.shape[0]
+    g = _require_out(out, (2, n, n), np.result_type(u, w.wx))
+    f, gx, gy = u.ravel(), g[0].ravel(), g[1].ravel()
+    np.subtract(f[1:], f[:-1], out=gx[:-1])
+    gx[n - 1 :: n] = 0.0
+    gx *= w.wx.ravel()
+    np.subtract(f[n:], f[:-n], out=gy[:-n])
+    gy[-n:] = 0.0
+    gy *= w.wy.ravel()
     return g
 
 
-def div_w(gx: np.ndarray, gy: np.ndarray, w: WeightField) -> np.ndarray:
+def div_w(gx: np.ndarray, gy: np.ndarray, w: WeightField, out=None) -> np.ndarray:
     """Transpose of grad_w applied to a pair of difference fields.
 
     The last column of gx and last row of gy are ignored, matching the
     zeroed boundary differences of grad_w; with that convention the
-    adjoint identity holds for arbitrary inputs.
+    adjoint identity holds for arbitrary inputs.  On the flattened image
+    the result is -h + (h shifted by 1) for h = wx*gx, then the same for
+    wy*gy and a shift by n.  The shift by 1 adds each row's ignored last
+    entry to the next row's first; that entry is -0.0 by then, which
+    leaves every sum, signed zeros included, as the unshifted 2-D
+    formula gives it.  The result is written into out when given (see
+    _require_out) and returned; one scratch array is allocated per call.
     """
     _require_same_shape(gx, gy)
     _require_same_shape(gx, w.wx)
-    hx = w.wx * gx
-    hx[:, -1] = 0.0
-    hy = w.wy * gy
-    hy[-1, :] = 0.0
-    out = -hx
-    out[:, 1:] += hx[:, :-1]
-    out -= hy
-    out[1:, :] += hy[:-1, :]
-    return out
+    n = gx.shape[0]
+    o = _require_out(out, (n, n), np.result_type(gx, gy, w.wx))
+    flat, t = o.ravel(), np.multiply(w.wx.ravel(), gx.ravel())
+    t[n - 1 :: n] = 0.0
+    np.negative(t, out=flat)
+    t[n - 1 :: n] = -0.0
+    flat[1:] += t[:-1]
+    np.multiply(w.wy.ravel(), gy.ravel(), out=t)
+    t[-n:] = 0.0
+    flat -= t
+    flat[n:] += t[:-n]
+    return o
 
 
 def _stencil_coeffs(w: WeightField):

@@ -40,9 +40,9 @@ class ForwardModel(ABC):
         """Adjoint of apply; always returns a real image."""
 
     @property
-    @abstractmethod
     def data_shape(self) -> tuple:
-        """Shape of the measurement array."""
+        """Shape of the measurement array; (n, n) unless a model overrides it."""
+        return (self.n, self.n)
 
     def _check_image(self, u: np.ndarray) -> None:
         if u.shape != (self.n, self.n):
@@ -58,8 +58,8 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """
     if size % 2 == 0 or size < 1:
         raise ConfigError(f"kernel size must be odd and positive, got {size}")
-    if not sigma > 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
     ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     xx, yy = np.meshgrid(ax, ax, indexing="ij")
     k = np.exp(-(xx * xx + yy * yy) / (2.0 * sigma * sigma))
@@ -78,12 +78,10 @@ class GaussianBlurModel(ForwardModel):
         if n < size:
             raise ConfigError(f"grid side {n} smaller than kernel size {size}")
         self.n = n
-        self.sigma = float(sigma)
-        self.size = int(size)
-        self.kernel = gaussian_kernel(self.size, self.sigma)
+        self.kernel = gaussian_kernel(size, sigma)
         embedded = np.zeros((n, n))
-        embedded[: self.size, : self.size] = self.kernel
-        half = (self.size - 1) // 2
+        embedded[:size, :size] = self.kernel
+        half = (size - 1) // 2
         embedded = np.roll(embedded, (-half, -half), axis=(0, 1))
         self.transfer = np.fft.fft2(embedded).real
 
@@ -91,13 +89,7 @@ class GaussianBlurModel(ForwardModel):
         self._check_image(u)
         return np.fft.ifft2(np.fft.fft2(u) * self.transfer).real
 
-    def adjoint(self, data: np.ndarray) -> np.ndarray:
-        self._check_image(data)
-        return np.fft.ifft2(np.fft.fft2(data) * self.transfer).real
-
-    @property
-    def data_shape(self) -> tuple:
-        return (self.n, self.n)
+    adjoint = apply
 
 
 class FourierMaskModel(ForwardModel):
@@ -111,11 +103,10 @@ class FourierMaskModel(ForwardModel):
     def __init__(self, mask: np.ndarray):
         if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
             raise ConfigError(f"mask must be square, got shape {mask.shape}")
-        vals = np.unique(np.asarray(mask, dtype=np.float64))
-        if not np.all(np.isin(vals, (0.0, 1.0))):
-            raise ConfigError("mask entries must be 0 or 1")
         self.n = mask.shape[0]
         self.mask = np.asarray(mask, dtype=np.float64)
+        if not np.all((self.mask == 0.0) | (self.mask == 1.0)):
+            raise ConfigError("mask entries must be 0 or 1")
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         self._check_image(u)
@@ -124,10 +115,6 @@ class FourierMaskModel(ForwardModel):
     def adjoint(self, data: np.ndarray) -> np.ndarray:
         self._check_image(data)
         return np.fft.ifft2(self.mask * data, norm="ortho").real
-
-    @property
-    def data_shape(self) -> tuple:
-        return (self.n, self.n)
 
 
 def radial_mask(n: int, lines: int):

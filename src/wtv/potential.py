@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import WeightField, grad_w, unit_weights, weighted_tv
 
-__all__ = ["LogExpParams", "phi", "phi_prime", "compute_weights", "default_mu"]
+__all__ = ["LogExpParams", "MIN_MU", "phi", "phi_prime", "compute_weights", "default_mu"]
 
 _LN2 = float(np.log(2.0))
 
@@ -27,6 +27,11 @@ _LN2 = float(np.log(2.0))
 # strictly positive (and survive squaring in the five-point stencil), so they
 # are floored here.
 _WEIGHT_FLOOR = 1e-150
+
+# The largest weight is phi_prime(0) = 1 / (2 mu ln 2).  With mu >= MIN_MU it
+# stays below 1e150, so the stencil's squared weights, eight to a row, stay
+# finite too.
+MIN_MU = 1e-150
 
 
 @dataclass(frozen=True)
@@ -36,8 +41,8 @@ class LogExpParams:
     mu: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and self.mu > 0):
-            raise ConfigError(f"mu must be positive and finite, got {self.mu}")
+        if not (np.isfinite(self.mu) and self.mu >= MIN_MU):
+            raise ConfigError(f"mu must be finite and >= {MIN_MU:g}, got {self.mu}")
 
 
 def phi(t, p: LogExpParams):

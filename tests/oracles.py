@@ -3,9 +3,11 @@
 The dense assembly materialises (n^2, n^2) matrices and is deliberately
 written with explicit loops, so it shares no code path with the vectorised
 operators in wtv.grid.  Assembly is gated to n <= 32; beyond that the
-matrices stop being a sensible debugging tool.  laplacian_w evaluates the
-five-point stencil directly, and objective_backward is the backward
-subproblem's objective.
+matrices stop being a sensible debugging tool.  grad_w_2d and div_w_2d
+are the weighted difference operators written on the (n, n) image with
+2-D slices, the formulas the flat operators in wtv.grid must reproduce
+bit for bit.  laplacian_w evaluates the five-point stencil directly, and
+objective_backward is the backward subproblem's objective.
 """
 
 import numpy as np
@@ -56,6 +58,27 @@ def direct_solve(c: np.ndarray, w: WeightField, p) -> np.ndarray:
     """Dense factorisation solve of (I - p.beta*p.theta*Lap_w) X = c."""
     a = system_matrix(w, p.beta, p.theta)
     return np.linalg.solve(a, c.ravel()).reshape(c.shape)
+
+
+def grad_w_2d(u: np.ndarray, w: WeightField) -> np.ndarray:
+    """Weighted forward differences, stacked (2, n, n), zero at the far edges."""
+    g = np.zeros((2, *u.shape), u.dtype)
+    g[0, :, :-1] = w.wx[:, :-1] * (u[:, 1:] - u[:, :-1])
+    g[1, :-1, :] = w.wy[:-1, :] * (u[1:, :] - u[:-1, :])
+    return g
+
+
+def div_w_2d(gx: np.ndarray, gy: np.ndarray, w: WeightField) -> np.ndarray:
+    """Transpose of grad_w_2d; ignores gx's last column and gy's last row."""
+    hx = w.wx * gx
+    hx[:, -1] = 0.0
+    hy = w.wy * gy
+    hy[-1, :] = 0.0
+    out = -hx
+    out[:, 1:] += hx[:, :-1]
+    out -= hy
+    out[1:, :] += hy[:-1, :]
+    return out
 
 
 def laplacian_w(u: np.ndarray, w: WeightField) -> np.ndarray:

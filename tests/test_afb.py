@@ -256,13 +256,15 @@ class TestAfbSolve:
 
 
 class TestModuleGlobalLookup:
-    """afb_solve and wsb_solve reach the inner solvers and GaussSeidelSystem
-    through their module-global names, so a wrapper bound to a name (the
-    benchmark tracer's, say) sees every call."""
+    """afb_solve and wsb_solve reach the inner solvers, GaussSeidelSystem and
+    the sweep's operators grad_w, div_w and cut through their module-global
+    names, so a wrapper bound to a name (the benchmark tracer's, say) sees
+    every call."""
 
     @pytest.mark.parametrize("inner", INNER_SOLVERS)
     def test_wrappers_see_every_call(self, monkeypatch, inner):
-        counts = {"iters": 0, "gs_builds": 0, "weight_updates": 0}
+        counts = {"iters": 0, "gs_builds": 0, "weight_updates": 0, "sweeps": 0,
+                  "grad_w": 0, "div_w": 0, "cut": 0}
         # per linear-solve call, the max_inner of each argument that has one:
         # the tracer reads max_inner_hits from that argument
         caps = []
@@ -284,6 +286,9 @@ class TestModuleGlobalLookup:
             wrap(wtv.bregman, name, "iters", amount=lambda out: out[1])
         wrap(wtv.forward_backward, "GaussSeidelSystem", "gs_builds")
         wrap(wtv.forward_backward, "compute_weights", "weight_updates")
+        wrap(wtv.forward_backward, "wsb_solve", "sweeps", amount=lambda out: out[2])
+        for name in ("grad_w", "div_w", "cut"):
+            wrap(wtv.bregman, name, name)
 
         truth, model, z = small_cs_problem(n=16)
         cfg = SolverConfig(
@@ -295,6 +300,9 @@ class TestModuleGlobalLookup:
         assert counts["weight_updates"] == len(trace) - 1
         expected_builds = counts["weight_updates"] if inner == "gauss_seidel" else 0
         assert counts["gs_builds"] == expected_builds
+        # one of each per Bregman sweep: each is one layer of the benchmark
+        assert counts["sweeps"] > len(trace) - 1
+        assert counts["grad_w"] == counts["div_w"] == counts["cut"] == counts["sweeps"]
 
 
 class TestObjectiveComposite:

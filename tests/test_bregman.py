@@ -43,6 +43,14 @@ class TestSoftCut:
         assert cut(0.5, 1.0) == 0.5
         assert cut(-2.5, 1.0) == -1.0
 
+    def test_cut_into_out(self, rng):
+        z = rng.normal(size=(2, 5, 5))
+        out = np.full_like(z, np.nan)
+        assert cut(z, 0.5, out=out) is out
+        assert out.tobytes() == cut(z, 0.5).tobytes()
+        assert cut(z, 0.5, out=z) is z  # in place
+        assert z.tobytes() == out.tobytes()
+
     def test_identity_random_pairs(self, rng):
         for _ in range(1000):
             z = rng.normal() * 10.0 ** rng.integers(-3, 4)
@@ -88,6 +96,8 @@ class TestBregmanParams:
             BregmanParams(lam=0.1, theta=0.0, beta=0.9)  # threshold undefined
         with pytest.raises(ValueError):
             BregmanParams(lam=0.1, theta=0.1, beta=0.9, tau=0.0)
+        with pytest.raises(ValueError):
+            BregmanParams(lam=0.1, theta=0.1, beta=0.9, tau=float("inf"))
 
 
 def _random_system(rng, n, w, p):

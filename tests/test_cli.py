@@ -396,10 +396,14 @@ class TestMain:
             {"mu_scale": "inf"},
             {"mu_scale": 1e308},  # finite, but times the automatic width it is not
             {"a": "inf"},
+            {"epsilon": "inf"},
+            {"tau": "inf"},
+            {"blur_sigma": "inf"},
         ],
         ids=[
             "tau", "max_inner", "mask_lines", "blur_sigma", "blur_size", "noise", "seed",
-            "beta", "mu_scale_inf", "mu_scale_overflow", "a_inf",
+            "beta", "mu_scale_inf", "mu_scale_overflow", "a_inf", "epsilon_inf", "tau_inf",
+            "blur_sigma_inf",
         ],
     )
     def test_out_of_range_value_exits_two_before_writing(self, tmp_path, capsys, bad):
@@ -409,6 +413,25 @@ class TestMain:
             assert main(argv) == 2
             assert "configuration error" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    # warnings are errors here: too small a mu_scale must be rejected before
+    # squaring the weights can overflow
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"mu_scale": 1e-300, "weight_mode": "adaptive"},
+            {"mu_scale": 1e308},
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_extreme_mu_scale_exits_two_naming_it(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(tiny_config_text(tmp_path / "out", **bad))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: mu_scale=")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("lambdas", ["abc", "1e-3,-1", "1e-3,nan"])
     def test_bad_lambda_exits_two_before_writing(self, tmp_path, capsys, lambdas):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grad_matrices, laplacian_matrix, laplacian_w, system_matrix
+from oracles import (
+    div_w_2d,
+    grad_matrices,
+    grad_w_2d,
+    laplacian_matrix,
+    laplacian_w,
+    system_matrix,
+)
 from wtv.errors import ConfigError
 from wtv.grid import (
     WeightField,
@@ -105,6 +112,73 @@ class TestDiv:
         assert out[3, 2] == -1.0
         out[3, 3] = out[3, 2] = 0.0
         assert np.all(out == 0)
+
+
+def _signed_zeros(rng, shape):
+    # only -0.0 and +0.0: every sum is a zero whose sign depends on the
+    # order of the terms, also at the boundaries and row starts, where the
+    # flat shifts could flip it
+    return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+
+class TestFlatOperatorsMatch2DFormulas:
+    """grad_w and div_w on the flattened image equal the 2-D slice formulas
+    of tests/oracles.py byte for byte, signed zeros included, with and
+    without out=.  div_w's shift by 1 adds each row's ignored last entry to
+    the next row's first; that entry is -0.0 at the time, so -0.0 results
+    at row starts stay -0.0 (a +0.0 there would turn them into +0.0)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_grad_w_bytes(self, rng, random_weights, n):
+        w = random_weights(n)
+        for u in (rng.normal(size=(n, n)), _signed_zeros(rng, (n, n))):
+            ref = grad_w_2d(u, w).tobytes()
+            assert grad_w(u, w).tobytes() == ref
+            out = np.full((2, n, n), np.nan)
+            assert grad_w(u, w, out=out) is out
+            assert out.tobytes() == ref
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_div_w_bytes(self, rng, random_weights, n):
+        w = random_weights(n)
+        for signed_zeros in (False, True):
+            gx, gy = (
+                _signed_zeros(rng, (n, n)) if signed_zeros else rng.normal(size=(n, n))
+                for _ in range(2)
+            )
+            ref = div_w_2d(gx, gy, w).tobytes()
+            assert div_w(gx, gy, w).tobytes() == ref
+            out = np.full((n, n), np.nan)
+            assert div_w(gx, gy, w, out=out) is out
+            assert out.tobytes() == ref
+
+    def test_div_w_keeps_negative_zero_at_row_starts(self):
+        # 2-D: ((-wx*0) - wy*0) + wy*(-0.0) = -0.0 at pixel (1, 0)
+        n = 3
+        gx, gy = np.zeros((n, n)), np.zeros((n, n))
+        gy[0, 0] = -0.0
+        out = div_w(gx, gy, unit_weights(n))
+        assert out.tobytes() == div_w_2d(gx, gy, unit_weights(n)).tobytes()
+        assert np.signbit(out[1, 0])
+
+    @pytest.mark.parametrize(
+        "make_out",
+        [
+            lambda shape: np.empty(shape[:-1] + (shape[-1] + 1,)),  # wrong shape
+            lambda shape: np.empty(shape, np.float32),  # wrong dtype
+            lambda shape: np.empty(shape[:-1] + (2 * shape[-1],))[..., ::2],  # strided
+            lambda shape: np.asfortranarray(np.empty(shape)),  # not C order
+        ],
+        ids=["shape", "dtype", "strided", "fortran"],
+    )
+    def test_bad_out_rejected(self, rng, random_weights, make_out):
+        n = 4
+        w = random_weights(n)
+        u, gx, gy = (rng.normal(size=(n, n)) for _ in range(3))
+        with pytest.raises(ValueError, match="out must be"):
+            grad_w(u, w, out=make_out((2, n, n)))
+        with pytest.raises(ValueError, match="out must be"):
+            div_w(gx, gy, w, out=make_out((n, n)))
 
 
 class TestLaplacian:
