@@ -31,10 +31,12 @@ interchangeable linear solvers are provided:
   theta > 0, so the sweeps always converge.  Within a sweep pixel (i, j)
   reads only its west and north neighbours from the current sweep, so all
   pixels on one anti-diagonal i + j = d can be updated at once (the
-  hyperplane or wavefront method, Lamport 1974).  A sweep runs one
-  anti-diagonal at a time, applying the per-pixel arithmetic in the same
-  order, so its iterates and sweep counts equal the per-pixel loop's bit
-  for bit.
+  hyperplane or wavefront method, Lamport 1974).  A sweep solves
+  (D - L) x_new = b + U x_old: it forms the east and south products
+  (the U half, which reads only the previous iterate) in one numpy call,
+  then runs one anti-diagonal at a time for the west and north half,
+  applying the per-pixel arithmetic in the same order, so its iterates
+  and sweep counts equal the per-pixel loop's bit for bit.
 
 wsb_solve picks the solver from the type of the prepared system it is
 given.
@@ -81,10 +83,18 @@ def cut(z, threshold, out=None):
 
 
 def theta_bound(w: WeightField, beta: float) -> float:
-    """Largest admissible penalty for the fixed-point solver: 1/(beta*||Lap_w||_inf)."""
+    """Largest admissible penalty for the fixed-point solver: 1/(beta*||Lap_w||_inf).
+
+    Raises ConfigError when the weighted Laplacian is zero, as on a 1x1
+    grid, where no pixel has a neighbour and no bound exists.
+    """
     if not beta > 0:
         raise ConfigError(f"beta must be positive, got {beta}")
-    return 1.0 / (beta * laplacian_inf_norm(w))
+    norm = laplacian_inf_norm(w)
+    if norm == 0:
+        raise ConfigError("the weighted Laplacian is zero (no pixel has a weighted "
+                          "neighbour, as on a 1x1 grid), so theta has no bound")
+    return 1.0 / (beta * norm)
 
 
 @dataclass(frozen=True)
@@ -211,8 +221,12 @@ class GaussSeidelSystem:
     d+1 holds anti-diagonal d contiguously, with zero padding for the
     neighbours beyond the boundary.  The west and north neighbours of a
     diagonal then sit in the row before it, the east and south ones in the
-    row after, so a diagonal updates in four numpy calls through views made
-    here once.
+    row after.  A sweep forms every east and south product in one numpy
+    call, since those neighbours still hold the previous iterate when
+    their diagonal is reached; each diagonal then takes its west and north
+    products, the sum and the scale by the inverted diagonal, in four
+    numpy calls (three of them one-dimensional) through views made here
+    once.
 
     The iterate and right-hand-side buffers live in the system too, so one
     system serves one solve at a time: starting a second sweep generator
@@ -232,26 +246,26 @@ class GaussSeidelSystem:
         # update adds them.  An axis-0 reduction over this strided block adds
         # them one after another with numpy 2.x, also on the one-pixel corner
         # diagonals; numpy does not promise that order, so
-        # test_gauss_seidel_bitwise_equals_reference_loop guards it.
+        # test_gauss_seidel_bitwise_equals_reference_loop guards it.  Unless
+        # given an initial value the reduction starts from +0.0; -0.0 leaves
+        # every b unchanged, so five -0.0 terms sum to -0.0 as in the loop.
         terms = np.zeros((rows, 5, cols))
         x = np.zeros((rows, cols))
-        # pairs[c, :, r] = (x[c, r], x[c, r + 1]): (north, west) of the
-        # pixel at x[c + 1, r + 1], (east, south) of the one at x[c - 1, r]
+        # pairs[c, :, r] = (x[c, r], x[c, r + 1]): the east and south
+        # neighbours of the pixel at x[c - 1, r]
         pairs = as_strided(
             x, shape=(rows, 2, cols - 1), strides=(x.strides[0],) + 2 * (x.strides[1],)
         )
+        self._east_south = (coef[1:-1, 2:4, :-1], pairs[2:], terms[1:-1, 2::2, :-1])
         self._b = _sheared_image(terms[:, 0, :])
         self._x = _sheared_image(x)
         self._diagonals = []
-        for d in range(2 * n - 1):
-            c, r = d + 1, slice(max(0, d - n + 1) + 1, min(d, n - 1) + 2)
-            coef_d, terms_d = coef[c, :, r], terms[c, :, r]
-            north_west = pairs[c - 1, :, r.start - 1 : r.stop - 1]
-            east_south = pairs[c + 1, :, r]
+        for c in range(1, 2 * n):
+            lo, hi = max(1, c - n + 1), min(c, n) + 1
             self._diagonals.append((
-                coef_d[0:2], north_west, terms_d[3::-2],
-                coef_d[2:4], east_south, terms_d[2::2],
-                terms_d, x[c, r], coef_d[4],
+                coef[c, 0, lo:hi], x[c - 1, lo - 1 : hi - 1], terms[c, 3, lo:hi],
+                coef[c, 1, lo:hi], x[c - 1, lo:hi], terms[c, 1, lo:hi],
+                terms[c, :, lo:hi], x[c, lo:hi], coef[c, 4, lo:hi],
             ))
 
     def sweeps(self, b: np.ndarray, x0: np.ndarray):
@@ -259,17 +273,19 @@ class GaussSeidelSystem:
 
         Each sweep runs the lexicographic per-pixel sweep one anti-diagonal
         at a time, with the per-pixel arithmetic in its order, so the
-        iterates equal that loop's bit for bit.
+        iterates equal that loop's bit for bit.  The east and south
+        products are taken for all diagonals before the first is updated.
         """
         self._b[...] = b
         self._x[...] = x0
         multiply, sum_rows = np.multiply, np.add.reduce
         while True:
-            for cnw, xnw, tnw, ces, xes, tes, t, xd, inv_diag in self._diagonals:
-                multiply(cnw, xnw, out=tnw)
-                multiply(ces, xes, out=tes)
-                sum_rows(t, axis=0, out=xd)
-                multiply(xd, inv_diag, out=xd)
+            multiply(*self._east_south)
+            for cn, xn, tn, cw, xw, tw, t, xd, inv_diag in self._diagonals:
+                multiply(cn, xn, tn)
+                multiply(cw, xw, tw)
+                sum_rows(t, 0, None, xd, initial=-0.0)
+                multiply(xd, inv_diag, xd)
             yield self._x.flatten()
 
 

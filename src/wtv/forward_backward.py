@@ -79,8 +79,8 @@ class SolverConfig:
             raise ConfigError("either lam or r0 must be set")
         if self.lam is not None and not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.r0 is not None and not self.r0 > 0:
-            raise ConfigError(f"r0 must be positive, got {self.r0}")
+        if self.r0 is not None and not (math.isfinite(self.r0) and self.r0 > 0):
+            raise ConfigError(f"r0 must be positive and finite, got {self.r0}")
         if not self.beta > 0:
             raise ConfigError(f"beta must be positive, got {self.beta}")
         if not (math.isfinite(self.a) and self.a > 0):
@@ -200,7 +200,8 @@ def afb_solve(
 
     Starts from adjoint(z), stops when the iterate's relative change drops
     below cfg.epsilon or after cfg.max_fb steps.  A non-finite iterate
-    raises DivergenceError naming the iteration.
+    raises DivergenceError naming the iteration; an r0 whose lam
+    overflows raises ConfigError before the first step.
     """
     if z.shape != model.data_shape:
         raise ConfigError(f"data shape {z.shape} != model {model.data_shape}")
@@ -213,7 +214,13 @@ def afb_solve(
     sw = Stopwatch()
     with sw.scope():
         u = model.adjoint(z)
-        lam = cfg.lam if cfg.lam is not None else cfg.r0 * float(np.abs(u).sum())
+        lam = cfg.lam
+        if lam is None:
+            norm = float(np.abs(u).sum())
+            lam = cfg.r0 * norm
+            if not math.isfinite(lam):
+                raise ConfigError(f"r0={cfg.r0!r} times ||adjoint(z)||_1 = {norm!r} "
+                                  f"gives lam={lam!r}, which is not finite")
         w, mu = _build_weights(u, cfg, None)
         params, system = _prepare_backward(w, cfg, lam)
         u_tilde_prev = u

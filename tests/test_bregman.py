@@ -81,6 +81,11 @@ class TestThetaBound:
         beta = 0.7
         assert theta_bound(w, beta) * beta * laplacian_inf_norm(w) == pytest.approx(1.0, rel=1e-14)
 
+    def test_one_pixel_grid_has_no_bound(self):
+        # no neighbours, so the weighted Laplacian is zero
+        with pytest.raises(ConfigError, match="Laplacian is zero"):
+            theta_bound(unit_weights(1), 0.9)
+
 
 class TestBregmanParams:
     def test_threshold_is_ratio(self):
@@ -286,7 +291,7 @@ class TestInnerSolvers:
         assert m <= 2
         assert np.array_equal(x, v)
 
-    @pytest.mark.parametrize("n", [2, 5, 47])
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 47])
     @pytest.mark.parametrize("tau, max_inner", [(1e-8, 500), (1e-14, 3)])
     def test_gauss_seidel_bitwise_equals_reference_loop(
         self, rng, random_weights, n, tau, max_inner
@@ -304,6 +309,44 @@ class TestInnerSolvers:
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
         assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("kind", ["zeros", "underflow"])
+    def test_gauss_seidel_signed_zeros_equal_reference_loop(
+        self, rng, random_weights, n, kind
+    ):
+        # zeros: b and x0 of random +-0.0.  underflow: b alternates the
+        # smallest negative subnormal with -0.0 and x0 is -0.0, so products
+        # underflow to -0.0 and on half the pixels all five terms of the sum
+        # are -0.0; only a sum that starts from b itself keeps that sign
+        w = random_weights(n)
+        beta = 0.9
+        theta = 0.7 * theta_bound(w, beta)
+        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-14, max_inner=3)
+        if kind == "zeros":
+            c, x0 = (np.where(rng.random((n, n)) < 0.5, -0.0, 0.0) for _ in range(2))
+        else:
+            i, j = np.indices((n, n))
+            c, x0 = np.where((i + j) % 2, -5e-324, -0.0), np.full((n, n), -0.0)
+        x, m = gauss_seidel_solve(c, x0, p, GaussSeidelSystem(w, beta, theta))
+        x_ref, m_ref = _reference_gauss_seidel(c, x0, w, p)
+        assert m == m_ref
+        assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
+
+    def test_gauss_seidel_system_serves_consecutive_solves(self, rng, random_weights):
+        # nothing a sweep leaves in the system may reach the next solve
+        n = 9
+        w = random_weights(n)
+        beta = 0.9
+        theta = 0.7 * theta_bound(w, beta)
+        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-8, max_inner=5)
+        shared = GaussSeidelSystem(w, beta, theta)
+        for _ in range(3):
+            c, x0, *_ = _random_system(rng, n, w, p)
+            x, m = gauss_seidel_solve(c, x0, p, shared)
+            x_new, m_new = gauss_seidel_solve(c, x0, p, GaussSeidelSystem(w, beta, theta))
+            assert m == m_new
+            assert np.array_equal(x.view(np.int64), x_new.view(np.int64))
 
     def test_direct_solve_gate(self, random_weights):
         w = random_weights(33)

@@ -50,8 +50,8 @@ def tiny_config_text(outdir, **overrides):
         "beta": 0.9,
         "max_fb": 3,
     }
-    base.update(overrides)
-    return "\n".join(f"{k} = {v}" for k, v in base.items()) + "\n"
+    base.update(overrides)  # an override of None drops the key
+    return "\n".join(f"{k} = {v}" for k, v in base.items() if v is not None) + "\n"
 
 
 def tiny_experiment(outdir, **solver_overrides):
@@ -399,11 +399,12 @@ class TestMain:
             {"epsilon": "inf"},
             {"tau": "inf"},
             {"blur_sigma": "inf"},
+            {"r0": "inf"},
         ],
         ids=[
             "tau", "max_inner", "mask_lines", "blur_sigma", "blur_size", "noise", "seed",
             "beta", "mu_scale_inf", "mu_scale_overflow", "a_inf", "epsilon_inf", "tau_inf",
-            "blur_sigma_inf",
+            "blur_sigma_inf", "r0_inf",
         ],
     )
     def test_out_of_range_value_exits_two_before_writing(self, tmp_path, capsys, bad):
@@ -431,6 +432,14 @@ class TestMain:
         assert main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: mu_scale=")
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_r0_exits_two_naming_it(self, tmp_path, capsys):
+        # finite, but times the l1 norm of the starting image it is not
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(tiny_config_text(tmp_path / "out", r0=1e308, **{"lambda": None}))
+        assert main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: r0=")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("lambdas", ["abc", "1e-3,-1", "1e-3,nan"])
