@@ -18,14 +18,23 @@ once per call: div_w, grad_w and cut write into them through their out=
 arguments, so a sweep allocates nothing beyond div_w's one scratch array
 and the linear solve's own.  Each linear solver takes c and a start
 iterate and runs on a prepared system, built once per weight field,
-that holds the beta*theta-scaled five-point stencil.  Two
+that holds the scaled five-point stencil.  Two
 interchangeable linear solvers are provided:
 
-* fwsb_linear_solve: fixed-point iteration X <- c + beta*theta*Lap_w X
-  from the identity splitting of the system matrix, with c the right-hand
-  side.  Each update applies the precomputed stencil (FwsbSystem) in a few
-  contiguous numpy calls; it contracts exactly when beta*theta stays below
-  1/||Lap_w||_inf, which FwsbSystem checks against theta_bound.
+* fwsb_linear_solve: relaxed fixed-point iteration
+  X <- X + omega*(c + beta*theta*Lap_w X - X) from the identity splitting
+  of the system matrix, with c the right-hand side.  omega is Richardson's
+  optimal relaxation for the Gershgorin interval [1, 1 + theta/bound] of
+  the system matrix, 2/(2 + theta/bound) with bound = theta_bound(w, beta):
+  it shrinks the largest error factor per step from theta/bound (the unit
+  step's slowest mode, which flips sign every step) to
+  (theta/bound)/(2 + theta/bound), so a solve cut off after any number of
+  steps, one included, hands the Bregman loop no wrong-signed error to
+  feed back.  Each update
+  applies the precomputed stencil (FwsbSystem, with omega folded in) in a
+  few contiguous numpy calls; the iteration contracts exactly when
+  beta*theta stays below 1/||Lap_w||_inf, which FwsbSystem checks against
+  theta_bound.
 * gauss_seidel_solve: classic forward Gauss-Seidel sweeps in lexicographic
   pixel order.  The system is strictly diagonally dominant for any
   theta > 0, so the sweeps always converge.  Within a sweep pixel (i, j)
@@ -38,8 +47,10 @@ interchangeable linear solvers are provided:
   applying the per-pixel arithmetic in the same order, so its iterates
   and sweep counts equal the per-pixel loop's bit for bit.
 
-wsb_solve picks the solver from the type of the prepared system it is
-given.
+Both solvers stop once the iterate's relative change falls below tau, and
+skip that test on their last allowed iteration, where it cannot change
+what they return.  wsb_solve picks the solver from the type of the
+prepared system it is given.
 """
 
 from __future__ import annotations
@@ -143,13 +154,16 @@ def _rel_change_done(diff_norm: float, ref_norm: float, tau: float) -> bool:
 class FwsbSystem:
     """Five-point system data reused across fast-splitting solves.
 
-    Holds the beta*theta-scaled neighbour coefficients (east, west, south,
-    north) and the scaled diagonal sum of one weight field, on the
-    flattened image.  There the neighbours of pixel k sit at k+1, k-1, k+n
-    and k-n, so every stencil term is one contiguous product; a term that
-    would wrap across a row end has a zero coefficient.  Building it checks
-    theta < theta_bound(w, beta), which makes the fixed-point iteration a
-    contraction, and raises ConfigError otherwise.
+    Holds the relaxation factor omega = 2/(2 + theta/theta_bound(w, beta))
+    and one relaxed fast-splitting step of one weight field, on the
+    flattened image: the omega*beta*theta-scaled neighbour coefficients
+    (east, west, south, north) and the diagonal 1 - omega*(1 + sum of the
+    beta*theta-scaled coefficients).  On the flattened image the neighbours
+    of pixel k sit at k+1, k-1, k+n and k-n, so every stencil term is one
+    contiguous product; a term that would wrap across a row end has a zero
+    coefficient.  Building it checks theta < theta_bound(w, beta), which
+    makes the fixed-point iteration a contraction, and raises ConfigError
+    otherwise.
     """
 
     def __init__(self, w: WeightField, beta: float, theta: float):
@@ -160,8 +174,12 @@ class FwsbSystem:
             )
         n = w.n
         bt = beta * theta
-        ce, cw, cs, cn = (bt * c.ravel() for c in _stencil_coeffs(w))
-        self.diag = ce + cw + cs + cn
+        # Richardson's optimum for the eigenvalues of I - bt*Lap_w, which
+        # Gershgorin's discs place in [1, 1 + theta/bound]
+        self.omega = omega = 2.0 / (2.0 + theta / bound)
+        coeffs = _stencil_coeffs(w)
+        self.diag = 1.0 - omega * (1.0 + bt * sum(coeffs).ravel())
+        ce, cw, cs, cn = (omega * bt * c.ravel() for c in coeffs)
         # (coefficient, pixels updated, neighbours read) per direction
         self.neighbours = (
             (ce[:-1], slice(None, -1), slice(1, None)),
@@ -171,9 +189,13 @@ class FwsbSystem:
         )
 
     def apply(self, c: np.ndarray, x: np.ndarray, out: np.ndarray, tmp: np.ndarray):
-        """out <- c + beta*theta*Lap_w x on flattened arrays; tmp is scratch."""
+        """One relaxed step on flattened arrays, with c already scaled by omega.
+
+        out <- c + (1 - omega)*x + omega*beta*theta*Lap_w x, which is
+        x + omega*(c/omega + beta*theta*Lap_w x - x); tmp is scratch.
+        """
         np.multiply(self.diag, x, out=out)
-        np.subtract(c, out, out=out)
+        out += c
         for coef, dst, src in self.neighbours:
             t = tmp[dst]
             np.multiply(coef, x[src], out=t)
@@ -181,29 +203,31 @@ class FwsbSystem:
 
 
 def fwsb_linear_solve(c: np.ndarray, x0: np.ndarray, p: BregmanParams, system: FwsbSystem):
-    """Fixed-point solve of (I - beta*theta*Lap_w) X = c, fully vectorised.
+    """Relaxed fixed-point solve of (I - beta*theta*Lap_w) X = c, fully vectorised.
 
-    Splitting the system matrix across the identity turns the solve into
-    X <- c + beta*theta*Lap_w X, warm-started from x0.  Each iteration
-    applies the precomputed stencil of system, the FwsbSystem of the
-    weights, p.beta and p.theta.  Building it checked
-    theta < theta_bound(w, beta), which makes the iteration map a
-    contraction.  For this splitting the change X_{m+1} - X_m literally
-    equals c - A X_m, so the stopping rule reads residual norms.  Returns
+    Splitting the system matrix across the identity and relaxing the step
+    by system.omega turns the solve into
+    X <- X + omega*(c + beta*theta*Lap_w X - X), warm-started from x0.
+    c is scaled by omega once per solve; each iteration then applies the
+    precomputed stencil of system, the FwsbSystem of the weights, p.beta
+    and p.theta.  Building it checked theta < theta_bound(w, beta), which
+    makes the iteration map a contraction.  The change X_{m+1} - X_m
+    equals omega*(c - A X_m), so the stopping rule reads scaled residual
+    norms; it is skipped on the last allowed iteration.  Returns
     (solution, iterations).
     """
-    flat_c = c.ravel()
+    flat_c = system.omega * c.ravel()
     x = x0.flatten()
     x_new, tmp = np.empty_like(x), np.empty_like(x)
     for m in range(1, p.max_inner + 1):
         system.apply(flat_c, x, x_new, tmp)
-        np.subtract(x_new, x, out=tmp)
-        diff = float(np.linalg.norm(tmp))
-        x_norm = float(np.linalg.norm(x))
         x, x_new = x_new, x
-        if _rel_change_done(diff, x_norm, p.tau):
+        if m == p.max_inner or _rel_change_done(
+            float(np.linalg.norm(np.subtract(x, x_new, out=tmp))),
+            float(np.linalg.norm(x_new)),
+            p.tau,
+        ):
             return x.reshape(c.shape), m
-    return x.reshape(c.shape), p.max_inner
 
 
 def _sheared_image(plane: np.ndarray) -> np.ndarray:
@@ -301,13 +325,12 @@ def gauss_seidel_solve(
     time.  Returns (solution, sweeps).
     """
     prev = x0.ravel()
-    for m, cur in zip(range(1, p.max_inner + 1), system.sweeps(c, x0)):
-        diff = float(np.linalg.norm(cur - prev))
-        ref = float(np.linalg.norm(prev))
-        prev = cur
-        if _rel_change_done(diff, ref, p.tau):
+    for m, cur in enumerate(system.sweeps(c, x0), 1):
+        if m == p.max_inner or _rel_change_done(
+            float(np.linalg.norm(cur - prev)), float(np.linalg.norm(prev)), p.tau
+        ):
             return cur.reshape(x0.shape), m
-    return prev.reshape(x0.shape), p.max_inner
+        prev = cur
 
 
 # Names only: wsb_solve and forward_backward._prepare_backward call each

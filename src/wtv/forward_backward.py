@@ -54,6 +54,14 @@ class SolverConfig:
     lam = r0 * ||adjoint(z)||_1 fixes it at startup.  The splitting
     parameter theta is not a setting: each weight update sets it to
     THETA_SAFETY times the admissible bound computed from the weights.
+
+    max_inner caps the iterations of each linear solve inside a Bregman
+    sweep.  Its default of 1 makes every sweep one inner step: one relaxed
+    fast-splitting step for fwsb, one forward Gauss-Seidel sweep for
+    gauss_seidel.  The Bregman loop carries what one step leaves unsolved
+    into its next sweep, so solving every system to tau is not needed
+    (Goldstein & Osher, SIAM J. Imaging Sci. 2009).  A direct
+    BregmanParams keeps its own default and solves to tau.
     """
 
     lam: float | None = None
@@ -68,7 +76,7 @@ class SolverConfig:
     no_accel: bool = False
     tau: float = 1e-4
     max_outer: int = 30
-    max_inner: int = 50
+    max_inner: int = 1
 
     def __post_init__(self):
         if self.weight_mode not in WEIGHT_MODES:

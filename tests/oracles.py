@@ -103,8 +103,9 @@ def objective_backward(
 def record_changes(system) -> list:
     """Norms of X_{m+1} - X_m, one per iteration of every later solve on system.
 
-    Wraps the instance's FwsbSystem.apply.  For the fixed-point splitting
-    the change X_{m+1} - X_m equals the residual c - A X_m.
+    Wraps the instance's FwsbSystem.apply.  For the relaxed fixed-point
+    splitting the change X_{m+1} - X_m equals omega times the residual
+    c - A X_m, so its ratios follow the relaxed step's contraction.
     """
     changes = []
     apply = system.apply

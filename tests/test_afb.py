@@ -17,7 +17,7 @@ from wtv.forward_backward import (
 from wtv.grid import unit_weights
 from wtv.metrics import psnr
 from wtv.operators import ForwardModel, FourierMaskModel, GaussianBlurModel, radial_mask
-from wtv.testdata import piecewise_test_image, shepp_logan
+from wtv.testdata import NoiseSpec, add_gaussian_noise, piecewise_test_image, shepp_logan
 
 
 def small_cs_problem(n=32, lines=4):
@@ -162,6 +162,21 @@ class TestAfbSolve:
         _, trace = afb_solve(model, z, cfg)
         assert trace.objective[-1] < trace.objective[0]
 
+    def test_small_inner_caps_match_tau_stopped_objective(self):
+        # criterion 8's settings at 64x64: with the unit fast-splitting
+        # step an odd cap left the slowest, sign-flipping error mode of
+        # every linear solve in place, and a cap of 1 ended 60 steps at an
+        # objective of 187 against 15.4.  The relaxed step must make any
+        # small cap land where solving each system to tau does
+        truth = piecewise_test_image(64)
+        model = GaussianBlurModel(64, sigma=1.5, size=9)
+        z = add_gaussian_noise(model.apply(truth), NoiseSpec(0.5e-2, 0))
+        base = dict(lam=5e-3, weight_mode="fixed", mu_scale=7.5e-5, max_fb=60)
+        _, solved = afb_solve(model, z, SolverConfig(max_inner=50, **base))
+        for cap in (1, 2, 3):
+            _, trace = afb_solve(model, z, SolverConfig(max_inner=cap, **base))
+            assert trace.objective[-1] == pytest.approx(solved.objective[-1], rel=1e-2)
+
     def test_beta_bound_enforced(self):
         truth, model, z = small_cs_problem()
         with pytest.raises(ConfigError):
@@ -291,8 +306,14 @@ class TestModuleGlobalLookup:
             wrap(wtv.bregman, name, name)
 
         truth, model, z = small_cs_problem(n=16)
+        # tau = 1e-5 keeps every backward step at several sweeps.  At the
+        # default 1e-4 the first one-step sweep here changes U by 7.4e-5
+        # relative, so the first backward step and the whole run stop after
+        # one sweep, and the counts could not tell a per-sweep call from a
+        # per-step one
         cfg = SolverConfig(
-            lam=1e-3, weight_mode="adaptive", mu_scale=7.5e-5, max_fb=5, inner=inner
+            lam=1e-3, weight_mode="adaptive", mu_scale=7.5e-5, max_fb=5, inner=inner,
+            tau=1e-5,
         )
         _, trace = afb_solve(model, z, cfg)
         assert counts["iters"] == sum(trace.inner_iters) > 0

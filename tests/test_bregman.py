@@ -117,13 +117,17 @@ def _random_system(rng, n, w, p):
     return v + p.beta * p.theta * div_w(rx, ry, w), x0, v, rx, ry
 
 
-def _reference_fwsb(v, rx, ry, x0, w, p):
-    """The fixed-point iteration through grad_w and div_w, with the solver's stopping rule."""
+def _reference_fwsb(v, rx, ry, x0, w, p, omega):
+    """The fixed-point iteration relaxed by omega, through grad_w and div_w.
+
+    X <- X + omega*(v + beta*theta*div_w(r - grad_w X) - X), with the
+    solver's stopping rule; omega = 1 is the paper's unit step.
+    """
     bt = p.beta * p.theta
     x = x0.copy()
     for m in range(1, p.max_inner + 1):
         gx, gy = grad_w(x, w)
-        x_new = v + bt * div_w(rx - gx, ry - gy, w)
+        x_new = x + omega * (v + bt * div_w(rx - gx, ry - gy, w) - x)
         diff, ref = np.linalg.norm(x_new - x), np.linalg.norm(x)
         x = x_new
         if (diff <= p.tau * ref) if ref >= 1e-14 else (diff <= p.tau):
@@ -235,7 +239,7 @@ class TestInnerSolvers:
         p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=tau, max_inner=max_inner)
         c, x0, v, rx, ry = _random_system(rng, n, w, p)
         x, m = fwsb_linear_solve(c, x0, p, FwsbSystem(w, beta, theta))
-        x_ref, m_ref = _reference_fwsb(v, rx, ry, x0, w, p)
+        x_ref, m_ref = _reference_fwsb(v, rx, ry, x0, w, p, 2 / (2 + 0.9))
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
@@ -254,7 +258,9 @@ class TestInnerSolvers:
             assert np.array_equal(x, x_fresh)
 
     def test_fwsb_residual_contraction(self, rng, random_weights):
-        # residual ratios stay at or below the spectral radius estimate
+        # residual ratios stay at or below the relaxed step's spectral
+        # radius, max(1 - omega, |1 - omega - omega*rho|), with rho that of
+        # the unit step's iteration matrix beta*theta*Lap_w
         w = random_weights(16)
         beta = 0.5
         theta = 0.9 * theta_bound(w, beta)
@@ -279,7 +285,8 @@ class TestInnerSolvers:
         ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
         # geometric-mean contraction factor against the bound
         gmean = float(np.exp(np.mean(np.log(ratios))))
-        assert gmean <= rho + 0.05
+        omega = 2 / (2 + 0.9)
+        assert gmean <= max(1 - omega, abs(1 - omega - omega * rho)) + 0.05
 
     def test_gs_one_sweep_identity_system(self, rng, random_weights):
         # theta = 0 turns the system into the identity; the first sweep
