@@ -32,9 +32,10 @@ interchangeable linear solvers are provided:
   steps, one included, hands the Bregman loop no wrong-signed error to
   feed back.  Each update
   applies the precomputed stencil (FwsbSystem, with omega folded in) in a
-  few contiguous numpy calls; the iteration contracts exactly when
-  beta*theta stays below 1/||Lap_w||_inf, which FwsbSystem checks against
-  theta_bound.
+  few contiguous numpy calls.  The relaxed step contracts for any theta;
+  FwsbSystem still requires beta*theta < 1/||Lap_w||_inf (theta below
+  theta_bound), the paper's condition for the unit step, which keeps the
+  factor per step below 1/3.
 * gauss_seidel_solve: classic forward Gauss-Seidel sweeps in lexicographic
   pixel order.  The system is strictly diagonally dominant for any
   theta > 0, so the sweeps always converge.  Within a sweep pixel (i, j)
@@ -49,7 +50,8 @@ interchangeable linear solvers are provided:
 
 Both solvers stop once the iterate's relative change falls below tau, and
 skip that test on their last allowed iteration, where it cannot change
-what they return.  wsb_solve picks the solver from the type of the
+what they return.  wsb_solve applies the same rule to U from its second
+sweep on.  wsb_solve picks the solver from the type of the
 prepared system it is given.
 """
 
@@ -161,9 +163,11 @@ class FwsbSystem:
     beta*theta-scaled coefficients).  On the flattened image the neighbours
     of pixel k sit at k+1, k-1, k+n and k-n, so every stencil term is one
     contiguous product; a term that would wrap across a row end has a zero
-    coefficient.  Building it checks theta < theta_bound(w, beta), which
-    makes the fixed-point iteration a contraction, and raises ConfigError
-    otherwise.
+    coefficient.  theta_bound gives the Gershgorin interval
+    [1, 1 + theta/bound] from which omega is derived.  Building it checks
+    theta < theta_bound(w, beta), which keeps theta inside the range the
+    interval is derived for, and raises ConfigError otherwise; the error
+    factor per step is then at most (theta/bound)/(2 + theta/bound) < 1/3.
     """
 
     def __init__(self, w: WeightField, beta: float, theta: float):
@@ -210,8 +214,10 @@ def fwsb_linear_solve(c: np.ndarray, x0: np.ndarray, p: BregmanParams, system: F
     X <- X + omega*(c + beta*theta*Lap_w X - X), warm-started from x0.
     c is scaled by omega once per solve; each iteration then applies the
     precomputed stencil of system, the FwsbSystem of the weights, p.beta
-    and p.theta.  Building it checked theta < theta_bound(w, beta), which
-    makes the iteration map a contraction.  The change X_{m+1} - X_m
+    and p.theta.  Each step shrinks the error by a factor of at most
+    (theta/bound)/(2 + theta/bound), with bound = theta_bound(w, beta),
+    which is below 1/3 since building the system checked theta < bound.
+    The change X_{m+1} - X_m
     equals omega*(c - A X_m), so the stopping rule reads scaled residual
     norms; it is skipped on the last allowed iteration.  Returns
     (solution, iterations).
@@ -357,8 +363,12 @@ def wsb_solve(
     and U's change are buffers allocated once per call, which div_w,
     grad_w and cut fill in place; the loop looks those three up as
     module-global names, once per sweep each, so a wrapper bound to a
-    name (a tracer, say) sees every call.  It stops
-    once U's relative change falls below tau (or max_outer is hit).
+    name (a tracer, say) sees every call.  It stops once U's relative
+    change falls below tau (or max_outer is hit), testing from the second
+    sweep on: the first, with e = r = 0, only smooths v toward the
+    quadratic penalty's solution, and when the linear solve stops
+    after one step its change can fall below tau before any shrinkage
+    has entered U.
     system is the inner solver's prepared system for w, p.beta and p.theta,
     and its type picks the linear solver: fwsb_linear_solve for an
     FwsbSystem, gauss_seidel_solve for a GaussSeidelSystem.  Returns (U,
@@ -382,9 +392,10 @@ def wsb_solve(
         cut(r, lvl, out=e)
         r -= e
         r -= e
-        diff = float(np.linalg.norm(np.subtract(x, u, out=step)))
-        ref = float(np.linalg.norm(u))
+        done = outer > 1 and _rel_change_done(
+            float(np.linalg.norm(np.subtract(x, u, out=step))), float(np.linalg.norm(u)), p.tau
+        )
         u = x
-        if _rel_change_done(diff, ref, p.tau):
+        if done:
             break
     return u, total_inner, outer

@@ -177,6 +177,20 @@ class TestAfbSolve:
             _, trace = afb_solve(model, z, SolverConfig(max_inner=cap, **base))
             assert trace.objective[-1] == pytest.approx(solved.objective[-1], rel=1e-2)
 
+    def test_default_backward_steps_shrink_before_stopping(self):
+        # the first Bregman sweep of a backward step only smooths v.  Cut
+        # off after one relaxed step, its change here is 7.4e-5 relative,
+        # below tau; a stop test on it ended the first backward step, and
+        # with it the whole run, after one sweep at an objective of 7.78e-3.
+        # Solving every system to tau with the unit step reached 4.67e-3
+        truth, model, z = small_cs_problem(n=16)
+        cfg = SolverConfig(lam=1e-3, weight_mode="adaptive", mu_scale=7.5e-5, max_fb=5)
+        _, trace = afb_solve(model, z, cfg)
+        assert len(trace) - 1 == cfg.max_fb
+        # one inner step per sweep, so at least two sweeps per backward step
+        assert min(trace.inner_iters[1:]) >= 2
+        assert trace.objective[-1] == pytest.approx(4.67e-3, rel=0.05)
+
     def test_beta_bound_enforced(self):
         truth, model, z = small_cs_problem()
         with pytest.raises(ConfigError):
@@ -306,14 +320,8 @@ class TestModuleGlobalLookup:
             wrap(wtv.bregman, name, name)
 
         truth, model, z = small_cs_problem(n=16)
-        # tau = 1e-5 keeps every backward step at several sweeps.  At the
-        # default 1e-4 the first one-step sweep here changes U by 7.4e-5
-        # relative, so the first backward step and the whole run stop after
-        # one sweep, and the counts could not tell a per-sweep call from a
-        # per-step one
         cfg = SolverConfig(
-            lam=1e-3, weight_mode="adaptive", mu_scale=7.5e-5, max_fb=5, inner=inner,
-            tau=1e-5,
+            lam=1e-3, weight_mode="adaptive", mu_scale=7.5e-5, max_fb=5, inner=inner
         )
         _, trace = afb_solve(model, z, cfg)
         assert counts["iters"] == sum(trace.inner_iters) > 0
