@@ -17,9 +17,11 @@ formed.  The fields, c and the step U_new - U live in buffers allocated
 once per call: div_w, grad_w and cut write into them through their out=
 arguments, so a sweep allocates nothing beyond div_w's one scratch array
 and the linear solve's own.  Each linear solver takes c and a start
-iterate and runs on a prepared system, built once per weight field,
-that holds the scaled five-point stencil.  Two
-interchangeable linear solvers are provided:
+iterate and runs on a prepared system, built once per weight field, that
+holds the weights w, theta, beta*theta and the scaled five-point stencil.
+The loop's own settings, lam, tau and the iteration caps, come in a
+BregmanParams that serves a whole run.  Two interchangeable linear
+solvers are provided:
 
 * fwsb_linear_solve: relaxed fixed-point iteration
   X <- X + omega*(c + beta*theta*Lap_w X - X) from the identity splitting
@@ -112,15 +114,16 @@ def theta_bound(w: WeightField, beta: float) -> float:
 
 @dataclass(frozen=True)
 class BregmanParams:
-    """Penalty, step and tolerance settings shared by both linear solvers.
+    """Settings of the split-Bregman loop and its linear solves.
 
-    theta == 0 is admissible only with lam == 0 (identity system), an edge
-    used to exercise the Gauss-Seidel sweep in isolation.
+    lam weights the TV term, tau is the relative-change tolerance of both
+    loops, and max_outer and max_inner cap the Bregman sweeps and the
+    iterations of each linear solve.  The system's weights, beta and theta
+    belong to the prepared system, not here, so one BregmanParams serves a
+    whole run while the system is rebuilt per weight field.
     """
 
     lam: float
-    theta: float
-    beta: float
     tau: float = 1e-4
     max_outer: int = 30
     max_inner: int = 50
@@ -128,21 +131,10 @@ class BregmanParams:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (np.isfinite(self.theta) and self.theta >= 0):
-            raise ConfigError(f"theta must be finite and >= 0, got {self.theta}")
-        if self.theta == 0 and self.lam != 0:
-            raise ConfigError("theta == 0 requires lam == 0")
-        if not self.beta > 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
         if not (np.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ConfigError("iteration caps must be at least 1")
-
-    @property
-    def shrink_threshold(self) -> float:
-        """Shrinkage level lam/theta."""
-        return self.lam / self.theta if self.theta > 0 else 0.0
 
 
 def _rel_change_done(diff_norm: float, ref_norm: float, tau: float) -> bool:
@@ -153,14 +145,30 @@ def _rel_change_done(diff_norm: float, ref_norm: float, tau: float) -> bool:
     return diff_norm <= tau * ref_norm
 
 
-class FwsbSystem:
+class _System:
+    """The weights w, theta and bt = beta*theta of one system I - bt*Lap_w.
+
+    Checks beta > 0 and theta finite and >= 0, and raises ConfigError
+    otherwise.  theta == 0 is the identity system.
+    """
+
+    def __init__(self, w: WeightField, beta: float, theta: float):
+        if not beta > 0:
+            raise ConfigError(f"beta must be positive, got {beta}")
+        if not (np.isfinite(theta) and theta >= 0):
+            raise ConfigError(f"theta must be finite and >= 0, got {theta}")
+        self.w, self.theta, self.bt = w, theta, beta * theta
+
+
+class FwsbSystem(_System):
     """Five-point system data reused across fast-splitting solves.
 
-    Holds the relaxation factor omega = 2/(2 + theta/theta_bound(w, beta))
-    and one relaxed fast-splitting step of one weight field, on the
-    flattened image: the omega*beta*theta-scaled neighbour coefficients
-    (east, west, south, north) and the diagonal 1 - omega*(1 + sum of the
-    beta*theta-scaled coefficients).  On the flattened image the neighbours
+    Besides w, theta and beta*theta (see _System), holds the relaxation
+    factor omega = 2/(2 + theta/theta_bound(w, beta)) and one relaxed
+    fast-splitting step of one weight field, on the flattened image: the
+    omega*beta*theta-scaled neighbour coefficients (east, west, south,
+    north) and the diagonal 1 - omega*(1 + sum of the beta*theta-scaled
+    coefficients).  On the flattened image the neighbours
     of pixel k sit at k+1, k-1, k+n and k-n, so every stencil term is one
     contiguous product; a term that would wrap across a row end has a zero
     coefficient.  theta_bound gives the Gershgorin interval
@@ -171,13 +179,13 @@ class FwsbSystem:
     """
 
     def __init__(self, w: WeightField, beta: float, theta: float):
+        super().__init__(w, beta, theta)
         bound = theta_bound(w, beta)
         if not theta < bound:
             raise ConfigError(
                 f"theta={theta:.6g} is not below the contraction bound {bound:.6g}"
             )
-        n = w.n
-        bt = beta * theta
+        n, bt = w.n, self.bt
         # Richardson's optimum for the eigenvalues of I - bt*Lap_w, which
         # Gershgorin's discs place in [1, 1 + theta/bound]
         self.omega = omega = 2.0 / (2.0 + theta / bound)
@@ -213,8 +221,8 @@ def fwsb_linear_solve(c: np.ndarray, x0: np.ndarray, p: BregmanParams, system: F
     by system.omega turns the solve into
     X <- X + omega*(c + beta*theta*Lap_w X - X), warm-started from x0.
     c is scaled by omega once per solve; each iteration then applies the
-    precomputed stencil of system, the FwsbSystem of the weights, p.beta
-    and p.theta.  Each step shrinks the error by a factor of at most
+    precomputed stencil of system, the FwsbSystem that holds the weights,
+    beta and theta.  Each step shrinks the error by a factor of at most
     (theta/bound)/(2 + theta/bound), with bound = theta_bound(w, beta),
     which is below 1/3 since building the system checked theta < bound.
     The change X_{m+1} - X_m
@@ -243,11 +251,12 @@ def _sheared_image(plane: np.ndarray) -> np.ndarray:
     return as_strided(plane[1:, 1:], shape=(n, n), strides=(s0 + s1, s0))
 
 
-class GaussSeidelSystem:
+class GaussSeidelSystem(_System):
     """Five-point system data reused across Gauss-Seidel solves.
 
-    Holds the beta*theta-scaled neighbour coefficients and the inverted
-    diagonal for one weight field in sheared (2n+1, n+2) planes whose row
+    Besides w, theta and beta*theta (see _System), holds the
+    beta*theta-scaled neighbour coefficients and the inverted diagonal of
+    one weight field in sheared (2n+1, n+2) planes whose row
     d+1 holds anti-diagonal d contiguously, with zero padding for the
     neighbours beyond the boundary.  The west and north neighbours of a
     diagonal then sit in the row before it, the east and south ones in the
@@ -264,8 +273,8 @@ class GaussSeidelSystem:
     """
 
     def __init__(self, w: WeightField, beta: float, theta: float):
-        n = w.n
-        bt = beta * theta
+        super().__init__(w, beta, theta)
+        n, bt = w.n, self.bt
         ce, cw, cs, cn = _stencil_coeffs(w)
         diag = 1.0 + bt * (ce + cw + cs + cn)
         rows, cols = 2 * n + 1, n + 2
@@ -326,9 +335,10 @@ def gauss_seidel_solve(
 
     Solves (I - beta*theta*Lap_w) X = c from x0 with the stopping rule of
     fwsb_linear_solve; valid for any theta >= 0 thanks to strict diagonal
-    dominance.  system is the GaussSeidelSystem of the weights, p.beta and
-    p.theta; it holds the sweep's buffers, so it must serve one solve at a
-    time.  Returns (solution, sweeps).
+    dominance.  system is the GaussSeidelSystem that holds the weights,
+    beta and theta; it holds the sweep's buffers too, so it must serve one
+    solve at a time.  p supplies only tau and max_inner.  Returns
+    (solution, sweeps).
     """
     prev = x0.ravel()
     for m, cur in enumerate(system.sweeps(c, x0), 1):
@@ -339,26 +349,22 @@ def gauss_seidel_solve(
         prev = cur
 
 
-# Names only: wsb_solve and forward_backward._prepare_backward call each
+# Names only: wsb_solve and forward_backward._build_system call each
 # solver and system by its module-global name, so that a wrapper bound to
 # that name (a tracer, say) sees every call.
 INNER_SOLVERS = ("fwsb", "gauss_seidel")
 
 
-def wsb_solve(
-    v: np.ndarray,
-    w: WeightField,
-    p: BregmanParams,
-    system: FwsbSystem | GaussSeidelSystem,
-):
+def wsb_solve(v: np.ndarray, p: BregmanParams, system: FwsbSystem | GaussSeidelSystem):
     """Split-Bregman loop for the backward subproblem.
 
     Carries U, the Bregman field e and the residual r = d - e of the
     auxiliary field d, each difference field stacked as one (2, n, n)
     array; d itself is never formed.  Starts from U = v with e = r = 0.
     Each sweep builds c = v + beta*theta*div_w(r), solves for U from the
-    previous U, and shrinks the shifted differences z = grad_w(U) + e:
-    e = cut(z) and d = soft(z) = z - cut(z), so r = (z - e) - e, which
+    previous U, and shrinks the shifted differences z = grad_w(U) + e at
+    the level lam/theta: e = cut(z) and d = soft(z) = z - cut(z), so
+    r = (z - e) - e, which
     equals soft(z) - cut(z) bit for bit wherever it is nonzero.  e, r, c
     and U's change are buffers allocated once per call, which div_w,
     grad_w and cut fill in place; the loop looks those three up as
@@ -369,13 +375,19 @@ def wsb_solve(
     quadratic penalty's solution, and when the linear solve stops
     after one step its change can fall below tau before any shrinkage
     has entered U.
-    system is the inner solver's prepared system for w, p.beta and p.theta,
-    and its type picks the linear solver: fwsb_linear_solve for an
-    FwsbSystem, gauss_seidel_solve for a GaussSeidelSystem.  Returns (U,
-    total inner iterations, outer sweeps).
+    system is the inner solver's prepared system, which holds the weights
+    w, theta and beta*theta, and its type picks the linear solver:
+    fwsb_linear_solve for an FwsbSystem, gauss_seidel_solve for a
+    GaussSeidelSystem.  p supplies lam, tau and the caps.  theta == 0 (the
+    identity system) leaves the shrink level undefined, so it raises
+    ConfigError unless lam == 0.  Returns (U, total inner iterations,
+    outer sweeps).
     """
+    if system.theta == 0 and p.lam != 0:
+        raise ConfigError("theta == 0 requires lam == 0")
     solve = fwsb_linear_solve if isinstance(system, FwsbSystem) else gauss_seidel_solve
-    bt, lvl = p.beta * p.theta, p.shrink_threshold
+    w, bt = system.w, system.bt
+    lvl = p.lam / system.theta if system.theta > 0 else 0.0
     u = v
     e, r = np.zeros((2, 2, *v.shape))
     c, step = np.empty((2, *v.shape))

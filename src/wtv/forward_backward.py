@@ -179,23 +179,14 @@ def _build_weights(u: np.ndarray, cfg: SolverConfig, mu: float | None):
     return w, mu
 
 
-def _prepare_backward(w: WeightField, cfg: SolverConfig, lam: float):
-    """Bregman settings and the inner solver's system for one weight field.
+def _build_system(w: WeightField, cfg: SolverConfig):
+    """The cfg.inner solver's system for w, at theta = THETA_SAFETY times w's bound.
 
-    theta is THETA_SAFETY times the bound for w.  The system is the
-    FwsbSystem or GaussSeidelSystem of cfg.inner; its type picks the
-    linear solver in wsb_solve.
+    Its type, FwsbSystem or GaussSeidelSystem, picks the linear solver in
+    wsb_solve.
     """
     theta = THETA_SAFETY * theta_bound(w, cfg.beta)
-    p = BregmanParams(
-        lam=lam,
-        theta=theta,
-        beta=cfg.beta,
-        tau=cfg.tau,
-        max_outer=cfg.max_outer,
-        max_inner=cfg.max_inner,
-    )
-    return p, (FwsbSystem if cfg.inner == "fwsb" else GaussSeidelSystem)(w, cfg.beta, theta)
+    return (FwsbSystem if cfg.inner == "fwsb" else GaussSeidelSystem)(w, cfg.beta, theta)
 
 
 def afb_solve(
@@ -229,8 +220,11 @@ def afb_solve(
             if not math.isfinite(lam):
                 raise ConfigError(f"r0={cfg.r0!r} times ||adjoint(z)||_1 = {norm!r} "
                                   f"gives lam={lam!r}, which is not finite")
+        params = BregmanParams(
+            lam=lam, tau=cfg.tau, max_outer=cfg.max_outer, max_inner=cfg.max_inner
+        )
         w, mu = _build_weights(u, cfg, None)
-        params, system = _prepare_backward(w, cfg, lam)
+        system = _build_system(w, cfg)
         u_tilde_prev = u
 
     trace = RunTrace()
@@ -252,9 +246,9 @@ def afb_solve(
         with sw.scope():
             if cfg.weight_mode == "adaptive" and it > 1:
                 w, mu = _build_weights(u, cfg, mu)
-                params, system = _prepare_backward(w, cfg, lam)
+                system = _build_system(w, cfg)
             v = forward_step(u, model, z, cfg.beta)
-            u_tilde, m_inner, _ = wsb_solve(v, w, params, system)
+            u_tilde, m_inner, _ = wsb_solve(v, params, system)
             alpha = 0.0 if cfg.no_accel else fista_alpha(it, cfg.a)
             u_new = u_tilde + alpha * (u_tilde - u_tilde_prev)
             if not np.all(np.isfinite(u_new)):

@@ -54,9 +54,14 @@ def system_matrix(w: WeightField, beta: float, theta: float) -> np.ndarray:
     return np.eye(lap.shape[0]) - beta * theta * lap
 
 
-def direct_solve(c: np.ndarray, w: WeightField, p) -> np.ndarray:
-    """Dense factorisation solve of (I - p.beta*p.theta*Lap_w) X = c."""
-    a = system_matrix(w, p.beta, p.theta)
+def direct_solve(c: np.ndarray, system) -> np.ndarray:
+    """Dense factorisation solve of (I - beta*theta*Lap_w) X = c.
+
+    w and beta*theta are those a prepared FwsbSystem or GaussSeidelSystem
+    holds.
+    """
+    lap = laplacian_matrix(system.w)
+    a = np.eye(lap.shape[0]) - system.bt * lap
     return np.linalg.solve(a, c.ravel()).reshape(c.shape)
 
 

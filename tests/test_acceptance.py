@@ -85,15 +85,12 @@ def test_criterion_01_inner_solvers_match_dense_oracle():
     for _ in range(20):
         beta = 0.5
         w, theta, c, x0 = _random_instance(rng, beta)
-        p = BregmanParams(
-            lam=0.1, beta=beta, theta=theta, tau=1e-12, max_inner=2000
-        )
-        exact = direct_solve(c, w, p)
+        p = BregmanParams(lam=0.1, tau=1e-12, max_inner=2000)
+        systems = FwsbSystem(w, beta, theta), GaussSeidelSystem(w, beta, theta)
+        exact = direct_solve(c, systems[0])
         ref = np.linalg.norm(exact)
-        for solve, system in (
-            (fwsb_linear_solve, FwsbSystem), (gauss_seidel_solve, GaussSeidelSystem)
-        ):
-            x, _ = solve(c, x0, p, system(w, beta, theta))
+        for solve, system in zip((fwsb_linear_solve, gauss_seidel_solve), systems):
+            x, _ = solve(c, x0, p, system)
             worst = max(worst, float(np.linalg.norm(x - exact)) / ref)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed <= 1.0
@@ -128,9 +125,7 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
         # has its spectrum in [1 - omega - omega*rho, 1 - omega]
         omega = 2 / (2 + theta / theta_bound(w, beta))
         relaxed = max(1 - omega, abs(1 - omega - omega * rho))
-        p = BregmanParams(
-            lam=0.1, beta=beta, theta=theta, tau=1e-13, max_inner=400
-        )
+        p = BregmanParams(lam=0.1, tau=1e-13, max_inner=400)
         system = FwsbSystem(w, beta, theta)
         residuals = record_changes(system)
         fwsb_linear_solve(c, x0, p, system)
@@ -240,9 +235,8 @@ def test_criterion_06_backward_step_never_worse_than_input():
     worst_gain = -np.inf
     for v, w, lam in fixtures:
         theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=lam, beta=beta, theta=theta, tau=1e-8,
-                          max_outer=60, max_inner=200)
-        u, _, _ = wsb_solve(v, w, p, FwsbSystem(w, beta, theta))
+        p = BregmanParams(lam=lam, tau=1e-8, max_outer=60, max_inner=200)
+        u, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, theta))
         before = objective_backward(v, v, w, lam, beta)
         after = objective_backward(u, v, w, lam, beta)
         worst_gain = max(worst_gain, (after - before) / max(before, 1e-300))
@@ -250,9 +244,8 @@ def test_criterion_06_backward_step_never_worse_than_input():
     tau = 1e-6
     w = random_w(12)
     v = rng.normal(size=(12, 12))
-    p0 = BregmanParams(lam=0.0, beta=beta, theta=0.5 * theta_bound(w, beta),
-                       tau=tau, max_outer=200, max_inner=200)
-    u0, _, _ = wsb_solve(v, w, p0, FwsbSystem(w, beta, p0.theta))
+    p0 = BregmanParams(lam=0.0, tau=tau, max_outer=200, max_inner=200)
+    u0, _, _ = wsb_solve(v, p0, FwsbSystem(w, beta, 0.5 * theta_bound(w, beta)))
     drift = float(np.linalg.norm(u0 - v)) / float(np.linalg.norm(v))
     ok = worst_gain <= 1e-12 and drift <= 10 * tau
     _report(

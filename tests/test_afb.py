@@ -222,16 +222,14 @@ class TestAfbSolve:
         u_solver, trace = afb_solve(model, z, cfg)
 
         w = unit_weights(truth.shape[0])
-        theta = THETA_SAFETY * theta_bound(w, cfg.beta)
         p = BregmanParams(
-            lam=cfg.lam, theta=theta, beta=cfg.beta, tau=cfg.tau,
-            max_outer=cfg.max_outer, max_inner=cfg.max_inner,
+            lam=cfg.lam, tau=cfg.tau, max_outer=cfg.max_outer, max_inner=cfg.max_inner
         )
-        system = FwsbSystem(w, cfg.beta, theta)
+        system = FwsbSystem(w, cfg.beta, THETA_SAFETY * theta_bound(w, cfg.beta))
         u = model.adjoint(z)
         for _ in range(6):
             v = forward_step(u, model, z, cfg.beta)
-            u, _, _ = wsb_solve(v, w, p, system)
+            u, _, _ = wsb_solve(v, p, system)
         assert np.array_equal(u_solver, u)
 
     def test_divergence_reported_with_iteration(self):
@@ -285,18 +283,20 @@ class TestAfbSolve:
 
 
 class TestModuleGlobalLookup:
-    """afb_solve and wsb_solve reach the inner solvers, GaussSeidelSystem and
-    the sweep's operators grad_w, div_w and cut through their module-global
-    names, so a wrapper bound to a name (the benchmark tracer's, say) sees
-    every call."""
+    """afb_solve and wsb_solve reach the inner solvers, BregmanParams,
+    GaussSeidelSystem and the sweep's operators grad_w, div_w and cut
+    through their module-global names, so a wrapper bound to a name (the
+    benchmark tracer's, say) sees every call."""
 
     @pytest.mark.parametrize("inner", INNER_SOLVERS)
     def test_wrappers_see_every_call(self, monkeypatch, inner):
         counts = {"iters": 0, "gs_builds": 0, "weight_updates": 0, "sweeps": 0,
-                  "grad_w": 0, "div_w": 0, "cut": 0}
-        # per linear-solve call, the max_inner of each argument that has one:
-        # the tracer reads max_inner_hits from that argument
-        caps = []
+                  "params_builds": 0, "grad_w": 0, "div_w": 0, "cut": 0}
+        # per linear-solve (wsb_solve) call, the max_inner (max_outer) of
+        # each argument that has one: the tracer reads max_inner_hits
+        # (max_outer_hits) from that argument
+        cap_names = {"iters": "max_inner", "sweeps": "max_outer"}
+        caps = {"iters": [], "sweeps": []}
 
         def wrap(module, name, key, amount=lambda out: 1):
             original = getattr(module, name)
@@ -304,9 +304,9 @@ class TestModuleGlobalLookup:
             def wrapper(*args, **kwargs):
                 out = original(*args, **kwargs)
                 counts[key] += amount(out)
-                if key == "iters":
-                    values = (*args, *kwargs.values())
-                    caps.append([a.max_inner for a in values if hasattr(a, "max_inner")])
+                if key in caps:
+                    values, cap = (*args, *kwargs.values()), cap_names[key]
+                    caps[key].append([getattr(a, cap) for a in values if hasattr(a, cap)])
                 return out
 
             monkeypatch.setattr(module, name, wrapper)
@@ -316,6 +316,7 @@ class TestModuleGlobalLookup:
         wrap(wtv.forward_backward, "GaussSeidelSystem", "gs_builds")
         wrap(wtv.forward_backward, "compute_weights", "weight_updates")
         wrap(wtv.forward_backward, "wsb_solve", "sweeps", amount=lambda out: out[2])
+        wrap(wtv.forward_backward, "BregmanParams", "params_builds")
         for name in ("grad_w", "div_w", "cut"):
             wrap(wtv.bregman, name, name)
 
@@ -325,7 +326,11 @@ class TestModuleGlobalLookup:
         )
         _, trace = afb_solve(model, z, cfg)
         assert counts["iters"] == sum(trace.inner_iters) > 0
-        assert caps and all(cfg.max_inner in call for call in caps)
+        assert caps["iters"] and all(cfg.max_inner in call for call in caps["iters"])
+        assert len(caps["sweeps"]) == len(trace) - 1
+        assert all(cfg.max_outer in call for call in caps["sweeps"])
+        # the loop settings are built once per run, not once per weight update
+        assert counts["params_builds"] == 1
         assert counts["weight_updates"] == len(trace) - 1
         expected_builds = counts["weight_updates"] if inner == "gauss_seidel" else 0
         assert counts["gs_builds"] == expected_builds

@@ -88,42 +88,56 @@ class TestThetaBound:
 
 
 class TestBregmanParams:
-    def test_threshold_is_ratio(self):
-        p = BregmanParams(lam=0.3, theta=0.06, beta=0.9)
-        assert p.shrink_threshold == 0.3 / 0.06
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            BregmanParams(lam=-1.0, theta=0.1, beta=0.9)
+            BregmanParams(lam=-1.0)
         with pytest.raises(ValueError):
-            BregmanParams(lam=0.1, theta=0.1, beta=0.0)
+            BregmanParams(lam=0.1, tau=0.0)
         with pytest.raises(ValueError):
-            BregmanParams(lam=0.1, theta=0.0, beta=0.9)  # threshold undefined
-        with pytest.raises(ValueError):
-            BregmanParams(lam=0.1, theta=0.1, beta=0.9, tau=0.0)
-        with pytest.raises(ValueError):
-            BregmanParams(lam=0.1, theta=0.1, beta=0.9, tau=float("inf"))
+            BregmanParams(lam=0.1, tau=float("inf"))
 
 
-def _random_system(rng, n, w, p):
-    """Right-hand side c and start x0 of a linear solve from random fields.
+@pytest.mark.parametrize("system_type", [FwsbSystem, GaussSeidelSystem])
+class TestSystemValidation:
+    @pytest.mark.parametrize("beta, theta", [
+        (0.0, 0.01), (-0.9, 0.01), (0.9, -1.0), (0.9, np.nan), (0.9, np.inf),
+    ], ids=["beta_zero", "beta_negative", "theta_negative", "theta_nan", "theta_inf"])
+    def test_rejects_bad_beta_and_theta(self, random_weights, system_type, beta, theta):
+        with pytest.raises(ConfigError):
+            system_type(random_weights(8), beta, theta)
+
+    def test_theta_zero_requires_lam_zero(self, random_weights, system_type):
+        # theta == 0 is the identity system, where lam/theta is undefined
+        w = random_weights(8)
+        system = system_type(w, 0.9, 0.0)
+        with pytest.raises(ConfigError, match="requires lam == 0"):
+            wsb_solve(np.ones((8, 8)), BregmanParams(lam=0.1), system)
+        u, _, _ = wsb_solve(np.ones((8, 8)), BregmanParams(lam=0.0), system)
+        assert np.array_equal(u, np.ones((8, 8)))
+
+
+def _random_system(rng, system):
+    """Right-hand side c and start x0 of a linear solve on system from random fields.
 
     Draws the start, the auxiliary fields dx, dy, the Bregman fields ex, ey
     and then v, and builds c = v + beta*theta*div_w(dx - ex, dy - ey) as
-    wsb_solve does.  Returns (c, x0, v, rx, ry) with r = d - e.
+    wsb_solve does, with the system's w and beta*theta.  Returns
+    (c, x0, v, rx, ry) with r = d - e.
     """
-    x0, dx, dy, ex, ey, v = (rng.normal(size=(n, n)) for _ in range(6))
+    w = system.w
+    x0, dx, dy, ex, ey, v = (rng.normal(size=(w.n, w.n)) for _ in range(6))
     rx, ry = dx - ex, dy - ey
-    return v + p.beta * p.theta * div_w(rx, ry, w), x0, v, rx, ry
+    return v + system.bt * div_w(rx, ry, w), x0, v, rx, ry
 
 
-def _reference_fwsb(v, rx, ry, x0, w, p, omega):
+def _reference_fwsb(v, rx, ry, x0, system, p, omega):
     """The fixed-point iteration relaxed by omega, through grad_w and div_w.
 
-    X <- X + omega*(v + beta*theta*div_w(r - grad_w X) - X), with the
-    solver's stopping rule; omega = 1 is the paper's unit step.
+    X <- X + omega*(v + beta*theta*div_w(r - grad_w X) - X) with the
+    system's w and beta*theta, and the solver's stopping rule; omega = 1
+    is the paper's unit step.
     """
-    bt = p.beta * p.theta
+    w, bt = system.w, system.bt
     x = x0.copy()
     for m in range(1, p.max_inner + 1):
         gx, gy = grad_w(x, w)
@@ -135,10 +149,11 @@ def _reference_fwsb(v, rx, ry, x0, w, p, omega):
     return x, m
 
 
-def _reference_gauss_seidel(b, x0, w, p):
-    """Lexicographic Gauss-Seidel one pixel at a time, with the solver's stopping rule."""
-    n, bt = b.shape[0], p.beta * p.theta
-    ce, cw, cs, cn = _stencil_coeffs(w)
+def _reference_gauss_seidel(b, x0, system, p):
+    """Lexicographic Gauss-Seidel one pixel at a time on system's w and
+    beta*theta, with the solver's stopping rule."""
+    n, bt = b.shape[0], system.bt
+    ce, cw, cs, cn = _stencil_coeffs(system.w)
     inv_diag = 1.0 / (1.0 + bt * (ce + cw + cs + cn))
     x = np.zeros((n + 2, n + 2))  # zero ring: reads beyond the grid
     x[1:-1, 1:-1] = x0
@@ -155,9 +170,10 @@ def _reference_gauss_seidel(b, x0, w, p):
     return x[1:-1, 1:-1].copy(), m
 
 
-def _reference_wsb(v, w, p, linear_solve):
-    """The split-Bregman loop written out with soft and cut around linear_solve(c, x0)."""
-    bt, lvl = p.beta * p.theta, p.lam / p.theta
+def _reference_wsb(v, system, p, linear_solve):
+    """The split-Bregman loop written out with soft and cut around linear_solve(c, x0),
+    on system's w, theta and beta*theta."""
+    w, bt, lvl = system.w, system.bt, p.lam / system.theta
     u = v.copy()
     dx = dy = ex = ey = np.zeros_like(v)
     total = 0
@@ -180,7 +196,7 @@ class TestInnerSolvers:
         # beta*theta -> 0 makes the system matrix approach I, so X -> b = v
         w = random_weights(8)
         v = rng.normal(size=(8, 8))
-        p = BregmanParams(lam=0.1, theta=1e-12, beta=1e-3, tau=1e-13, max_inner=50)
+        p = BregmanParams(lam=0.1, tau=1e-13, max_inner=50)
         x, m = fwsb_linear_solve(v, v, p, FwsbSystem(w, 1e-3, 1e-12))
         assert np.allclose(x, v, atol=1e-10)
 
@@ -188,10 +204,11 @@ class TestInnerSolvers:
         w = random_weights(16)
         beta = 0.5
         theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-12, max_inner=500)
-        c, x0, *_ = _random_system(rng, 16, w, p)
-        ref = direct_solve(c, w, p)
-        x, m = fwsb_linear_solve(c, x0, p, FwsbSystem(w, beta, theta))
+        p = BregmanParams(lam=0.1, tau=1e-12, max_inner=500)
+        system = FwsbSystem(w, beta, theta)
+        c, x0, *_ = _random_system(rng, system)
+        ref = direct_solve(c, system)
+        x, m = fwsb_linear_solve(c, x0, p, system)
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
         assert 0 < m <= 500
 
@@ -199,10 +216,10 @@ class TestInnerSolvers:
         w = random_weights(16)
         beta = 0.5
         theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-12, max_inner=500)
-        c, x0, *_ = _random_system(rng, 16, w, p)
-        ref = direct_solve(c, w, p)
+        p = BregmanParams(lam=0.1, tau=1e-12, max_inner=500)
         system = GaussSeidelSystem(w, beta, theta)
+        c, x0, *_ = _random_system(rng, system)
+        ref = direct_solve(c, system)
         x, m = gauss_seidel_solve(c, x0, p, system)
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -210,20 +227,16 @@ class TestInnerSolvers:
         w = random_weights(12)
         beta = 0.9
         theta = 0.5 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.2, theta=theta, beta=beta, tau=1e-11, max_inner=500)
-        c, x0, *_ = _random_system(rng, 12, w, p)
-        xf, _ = fwsb_linear_solve(c, x0, p, FwsbSystem(w, beta, theta))
+        p = BregmanParams(lam=0.2, tau=1e-11, max_inner=500)
+        system = FwsbSystem(w, beta, theta)
+        c, x0, *_ = _random_system(rng, system)
+        xf, _ = fwsb_linear_solve(c, x0, p, system)
         xg, _ = gauss_seidel_solve(c, x0, p, GaussSeidelSystem(w, beta, theta))
         assert np.allclose(xf, xg, atol=1e-8)
 
     def test_fwsb_refuses_theta_out_of_bound(self, random_weights):
         w = random_weights(8)
         beta = 0.9
-        p = BregmanParams(lam=0.1, theta=1.01 * theta_bound(w, beta), beta=beta)
-        with pytest.raises(ConfigError):
-            fwsb_linear_solve(
-                np.zeros((8, 8)), np.zeros((8, 8)), p, FwsbSystem(w, beta, p.theta)
-            )
         for factor in (1.0, 1.01):
             with pytest.raises(ConfigError):
                 FwsbSystem(w, beta, factor * theta_bound(w, beta))
@@ -236,10 +249,11 @@ class TestInnerSolvers:
         w = random_weights(n)
         beta = 0.9
         theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=tau, max_inner=max_inner)
-        c, x0, v, rx, ry = _random_system(rng, n, w, p)
-        x, m = fwsb_linear_solve(c, x0, p, FwsbSystem(w, beta, theta))
-        x_ref, m_ref = _reference_fwsb(v, rx, ry, x0, w, p, 2 / (2 + 0.9))
+        p = BregmanParams(lam=0.1, tau=tau, max_inner=max_inner)
+        system = FwsbSystem(w, beta, theta)
+        c, x0, v, rx, ry = _random_system(rng, system)
+        x, m = fwsb_linear_solve(c, x0, p, system)
+        x_ref, m_ref = _reference_fwsb(v, rx, ry, x0, system, p, 2 / (2 + 0.9))
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
@@ -248,10 +262,10 @@ class TestInnerSolvers:
         w = random_weights(16)
         beta = 0.9
         theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-10, max_inner=300)
+        p = BregmanParams(lam=0.1, tau=1e-10, max_inner=300)
         system = FwsbSystem(w, beta, theta)
         for _ in range(3):
-            c, x0, *_ = _random_system(rng, 16, w, p)
+            c, x0, *_ = _random_system(rng, system)
             x, m = fwsb_linear_solve(c, x0, p, system)
             x_fresh, m_fresh = fwsb_linear_solve(c, x0, p, FwsbSystem(w, beta, theta))
             assert m == m_fresh
@@ -277,9 +291,9 @@ class TestInnerSolvers:
         )
         assert rho < 1.0
 
-        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-13, max_inner=200)
-        c, x0, *_ = _random_system(rng, 16, w, p)
+        p = BregmanParams(lam=0.1, tau=1e-13, max_inner=200)
         system = FwsbSystem(w, beta, theta)
+        c, x0, *_ = _random_system(rng, system)
         residuals = record_changes(system)
         fwsb_linear_solve(c, x0, p, system)
         ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
@@ -292,7 +306,7 @@ class TestInnerSolvers:
         # theta = 0 turns the system into the identity; the first sweep
         # already lands exactly on b = v (the second only detects it)
         w = random_weights(8)
-        p = BregmanParams(lam=0.0, theta=0.0, beta=0.9, tau=1e-10)
+        p = BregmanParams(lam=0.0, tau=1e-10)
         v = rng.normal(size=(8, 8))
         x, m = gauss_seidel_solve(v, np.zeros((8, 8)), p, GaussSeidelSystem(w, 0.9, 0.0))
         assert m <= 2
@@ -308,11 +322,11 @@ class TestInnerSolvers:
         w = random_weights(n)
         beta = 0.9
         theta = 0.7 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=tau, max_inner=max_inner)
-        c, x0, *_ = _random_system(rng, n, w, p)
+        p = BregmanParams(lam=0.1, tau=tau, max_inner=max_inner)
         system = GaussSeidelSystem(w, beta, theta)
+        c, x0, *_ = _random_system(rng, system)
         x, m = gauss_seidel_solve(c, x0, p, system)
-        x_ref, m_ref = _reference_gauss_seidel(c, x0, w, p)
+        x_ref, m_ref = _reference_gauss_seidel(c, x0, system, p)
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
         assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
@@ -329,14 +343,15 @@ class TestInnerSolvers:
         w = random_weights(n)
         beta = 0.9
         theta = 0.7 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-14, max_inner=3)
+        p = BregmanParams(lam=0.1, tau=1e-14, max_inner=3)
+        system = GaussSeidelSystem(w, beta, theta)
         if kind == "zeros":
             c, x0 = (np.where(rng.random((n, n)) < 0.5, -0.0, 0.0) for _ in range(2))
         else:
             i, j = np.indices((n, n))
             c, x0 = np.where((i + j) % 2, -5e-324, -0.0), np.full((n, n), -0.0)
-        x, m = gauss_seidel_solve(c, x0, p, GaussSeidelSystem(w, beta, theta))
-        x_ref, m_ref = _reference_gauss_seidel(c, x0, w, p)
+        x, m = gauss_seidel_solve(c, x0, p, system)
+        x_ref, m_ref = _reference_gauss_seidel(c, x0, system, p)
         assert m == m_ref
         assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
 
@@ -346,30 +361,29 @@ class TestInnerSolvers:
         w = random_weights(n)
         beta = 0.9
         theta = 0.7 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-8, max_inner=5)
+        p = BregmanParams(lam=0.1, tau=1e-8, max_inner=5)
         shared = GaussSeidelSystem(w, beta, theta)
         for _ in range(3):
-            c, x0, *_ = _random_system(rng, n, w, p)
+            c, x0, *_ = _random_system(rng, shared)
             x, m = gauss_seidel_solve(c, x0, p, shared)
             x_new, m_new = gauss_seidel_solve(c, x0, p, GaussSeidelSystem(w, beta, theta))
             assert m == m_new
             assert np.array_equal(x.view(np.int64), x_new.view(np.int64))
 
     def test_direct_solve_gate(self, random_weights):
-        w = random_weights(33)
-        p = BregmanParams(lam=0.1, theta=0.01, beta=0.9)
+        system = GaussSeidelSystem(random_weights(33), 0.9, 0.01)
         v = np.zeros((33, 33))
         with pytest.raises(ConfigError):
-            direct_solve(v, w, p)
+            direct_solve(v, system)
 
     def test_warm_start_zero_iterations_needed(self, rng, random_weights):
         # starting exactly at the solution stops after one cheap pass
         w = random_weights(12)
         beta = 0.5
         theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=1e-10, max_inner=300)
-        c, x0, *_ = _random_system(rng, 12, w, p)
+        p = BregmanParams(lam=0.1, tau=1e-10, max_inner=300)
         system = FwsbSystem(w, beta, theta)
+        c, x0, *_ = _random_system(rng, system)
         x1, m1 = fwsb_linear_solve(c, x0, p, system)
         x2, m2 = fwsb_linear_solve(c, x1, p, system)
         assert m2 <= 2
@@ -392,15 +406,15 @@ class TestWsbSolve:
         beta = 0.9
         theta = 0.5 * theta_bound(w, beta)
         tau = 1e-6
-        p = BregmanParams(lam=0.0, theta=theta, beta=beta, tau=tau, max_outer=200, max_inner=200)
+        p = BregmanParams(lam=0.0, tau=tau, max_outer=200, max_inner=200)
         v = rng.normal(size=(12, 12))
-        u, total_inner, outer = wsb_solve(v, w, p, FwsbSystem(w, beta, theta))
+        u, total_inner, outer = wsb_solve(v, p, FwsbSystem(w, beta, theta))
         assert np.linalg.norm(u - v) <= 10 * tau * np.linalg.norm(v)
 
     def test_zero_input_zero_output(self, random_weights):
         w = random_weights(8)
-        p = BregmanParams(lam=0.3, theta=0.5 * theta_bound(w, 0.9), beta=0.9)
-        u, _, _ = wsb_solve(np.zeros((8, 8)), w, p, FwsbSystem(w, p.beta, p.theta))
+        system = FwsbSystem(w, 0.9, 0.5 * theta_bound(w, 0.9))
+        u, _, _ = wsb_solve(np.zeros((8, 8)), BregmanParams(lam=0.3), system)
         assert np.all(u == 0)
 
     def test_objective_not_above_start(self, rng, random_weights):
@@ -408,12 +422,9 @@ class TestWsbSolve:
             local = np.random.default_rng(seed)
             w = random_weights(12)
             beta = 0.9
-            p = BregmanParams(
-                lam=0.15, theta=0.5 * theta_bound(w, beta), beta=beta, tau=1e-6,
-                max_outer=100, max_inner=100,
-            )
+            p = BregmanParams(lam=0.15, tau=1e-6, max_outer=100, max_inner=100)
             v = local.normal(size=(12, 12))
-            u, _, _ = wsb_solve(v, w, p, FwsbSystem(w, beta, p.theta))
+            u, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, 0.5 * theta_bound(w, beta)))
             assert objective_backward(u, v, w, 0.15, beta) <= objective_backward(
                 v, v, w, 0.15, beta
             )
@@ -424,11 +435,8 @@ class TestWsbSolve:
         w = unit_weights(n)
         ramp = np.tile(np.linspace(0.0, 1.0, n), (n, 1))
         beta = 0.9
-        p = BregmanParams(
-            lam=2.0, theta=0.5 * theta_bound(w, beta), beta=beta, tau=1e-8,
-            max_outer=200, max_inner=200,
-        )
-        u, _, _ = wsb_solve(ramp, w, p, FwsbSystem(w, beta, p.theta))
+        p = BregmanParams(lam=2.0, tau=1e-8, max_outer=200, max_inner=200)
+        u, _, _ = wsb_solve(ramp, p, FwsbSystem(w, beta, 0.5 * theta_bound(w, beta)))
         assert weighted_tv(u, w) < 0.6 * weighted_tv(ramp, w)
         assert objective_backward(u, ramp, w, 2.0, beta) <= objective_backward(
             ramp, ramp, w, 2.0, beta
@@ -447,17 +455,15 @@ class TestWsbSolve:
         w = random_weights(8)
         beta = 0.9
         theta = 0.5 * theta_bound(w, beta)
-        p = BregmanParams(
-            lam=0.03, theta=theta, beta=beta, tau=tau, max_outer=max_outer, max_inner=100
-        )
+        p = BregmanParams(lam=0.03, tau=tau, max_outer=max_outer, max_inner=100)
         v = rng.normal(size=(8, 8))
         system = system_type(w, beta, theta)
-        u, total_inner, sweeps = wsb_solve(v, w, p, system)
+        u, total_inner, sweeps = wsb_solve(v, p, system)
         linear_solve = {
-            GaussSeidelSystem: lambda c, x0: _reference_gauss_seidel(c, x0, w, p),
+            GaussSeidelSystem: lambda c, x0: _reference_gauss_seidel(c, x0, system, p),
             FwsbSystem: lambda c, x0: fwsb_linear_solve(c, x0, p, system),
         }[system_type]
-        u_ref, total_ref, sweeps_ref = _reference_wsb(v, w, p, linear_solve)
+        u_ref, total_ref, sweeps_ref = _reference_wsb(v, system, p, linear_solve)
         assert (sweeps == max_outer) == (max_outer == 4)
         assert (sweeps, total_inner) == (sweeps_ref, total_ref)
         assert np.array_equal(u.view(np.int64), u_ref.view(np.int64))
@@ -467,10 +473,10 @@ class TestWsbSolve:
         beta = 0.9
         theta = 0.5 * theta_bound(w, beta)
         tau = 1e-8
-        p = BregmanParams(lam=0.1, theta=theta, beta=beta, tau=tau, max_outer=300, max_inner=300)
+        p = BregmanParams(lam=0.1, tau=tau, max_outer=300, max_inner=300)
         v = rng.normal(size=(12, 12))
-        u_f, _, _ = wsb_solve(v, w, p, FwsbSystem(w, beta, theta))
-        u_g, _, _ = wsb_solve(v, w, p, GaussSeidelSystem(w, beta, theta))
+        u_f, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, theta))
+        u_g, _, _ = wsb_solve(v, p, GaussSeidelSystem(w, beta, theta))
         assert np.linalg.norm(u_f - u_g) <= 10 * tau * np.linalg.norm(u_g)
 
     def test_table_form_rhs_identity(self, rng):
