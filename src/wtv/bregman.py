@@ -16,11 +16,13 @@ z - cut(z), one cut per sweep updates both, and d itself is never
 formed.  The fields, c and the step U_new - U live in buffers allocated
 once per call: div_w, grad_w and cut write into them through their out=
 arguments, so a sweep allocates nothing beyond div_w's one scratch array
-and the linear solve's own.  Each linear solver takes c and a start
-iterate and runs on a prepared system, built once per weight field, that
-holds the weights w, theta, beta*theta and the scaled five-point stencil.
-The loop's own settings, lam, tau and the iteration caps, come in a
-BregmanParams that serves a whole run.  Two interchangeable linear
+and the linear solve's own.  Each linear solve runs on a prepared
+system, built once per weight field, that holds the weights w, theta,
+beta*theta and the scaled five-point stencil.  Both kinds of system
+offer one method, iterates(c, x0): an endless generator of the
+flattened iterate after each step from x0, for the right-hand side c as
+it is.  The loop's own settings, lam, tau and the iteration caps, come
+in a BregmanParams that serves a whole run.  Two interchangeable linear
 solvers are provided:
 
 * fwsb_linear_solve: relaxed fixed-point iteration
@@ -32,9 +34,9 @@ solvers are provided:
   step's slowest mode, which flips sign every step) to
   (theta/bound)/(2 + theta/bound), so a solve cut off after any number of
   steps, one included, hands the Bregman loop no wrong-signed error to
-  feed back.  Each update
-  applies the precomputed stencil (FwsbSystem, with omega folded in) in a
-  few contiguous numpy calls.  The relaxed step contracts for any theta;
+  feed back.  FwsbSystem.iterates scales c by omega once and applies
+  the precomputed stencil, omega folded in, in a few contiguous numpy
+  calls per step.  The relaxed step contracts for any theta;
   FwsbSystem still requires beta*theta < 1/||Lap_w||_inf (theta below
   theta_bound), the paper's condition for the unit step, which keeps the
   factor per step below 1/3.
@@ -44,15 +46,16 @@ solvers are provided:
   reads only its west and north neighbours from the current sweep, so all
   pixels on one anti-diagonal i + j = d can be updated at once (the
   hyperplane or wavefront method, Lamport 1974).  A sweep solves
-  (D - L) x_new = b + U x_old: it forms the east and south products
+  (D - L) x_new = c + U x_old: it forms the east and south products
   (the U half, which reads only the previous iterate) in one numpy call,
   then runs one anti-diagonal at a time for the west and north half,
   applying the per-pixel arithmetic in the same order, so its iterates
   and sweep counts equal the per-pixel loop's bit for bit.
 
-Both solvers stop once the iterate's relative change falls below tau, and
-skip that test on their last allowed iteration, where it cannot change
-what they return.  wsb_solve applies the same rule to U from its second
+Both solvers are one call to _solve, which draws a system's iterates
+until the relative change falls below tau or max_inner is reached, and
+skips that test on the last allowed iteration, where it cannot change
+what is returned.  wsb_solve applies the same rule to U from its second
 sweep on.  wsb_solve picks the solver from the type of the
 prepared system it is given.
 """
@@ -183,7 +186,8 @@ class FwsbSystem(_System):
         bound = theta_bound(w, beta)
         if not theta < bound:
             raise ConfigError(
-                f"theta={theta:.6g} is not below the contraction bound {bound:.6g}"
+                f"theta={theta:.6g} is not below the admissible bound "
+                f"theta_bound(w, beta) = {bound:.6g}"
             )
         n, bt = w.n, self.bt
         # Richardson's optimum for the eigenvalues of I - bt*Lap_w, which
@@ -200,48 +204,58 @@ class FwsbSystem(_System):
             (cn[n:], slice(n, None), slice(None, -n)),
         )
 
-    def apply(self, c: np.ndarray, x: np.ndarray, out: np.ndarray, tmp: np.ndarray):
-        """One relaxed step on flattened arrays, with c already scaled by omega.
+    def iterates(self, c: np.ndarray, x0: np.ndarray):
+        """Endless generator of the flattened iterate after each relaxed step from x0.
 
-        out <- c + (1 - omega)*x + omega*beta*theta*Lap_w x, which is
-        x + omega*(c/omega + beta*theta*Lap_w x - x); tmp is scratch.
+        Each step is x <- x + omega*(c + beta*theta*Lap_w x - x), computed
+        as omega*c + diag*x plus the four neighbour products.  c is scaled
+        by omega once, and the iterates alternate between two buffers, so
+        a yielded iterate holds until the step after next.
         """
-        np.multiply(self.diag, x, out=out)
-        out += c
-        for coef, dst, src in self.neighbours:
-            t = tmp[dst]
-            np.multiply(coef, x[src], out=t)
-            out[dst] += t
+        c = self.omega * c.ravel()
+        x = x0.flatten()
+        out, tmp = np.empty_like(x), np.empty_like(x)
+        while True:
+            np.multiply(self.diag, x, out=out)
+            out += c
+            for coef, dst, src in self.neighbours:
+                t = tmp[dst]
+                np.multiply(coef, x[src], out=t)
+                out[dst] += t
+            x, out = out, x
+            yield x
+
+
+def _solve(iterates, x0: np.ndarray, p: BregmanParams):
+    """The stopping rule of both linear solvers.
+
+    Draws from iterates, a system's generator started from x0, until the
+    iterate's relative change falls below tau or max_inner is reached.
+    The test is skipped on the last allowed iteration, where it cannot
+    change what is returned.  Returns (solution, iterations).
+    """
+    prev = x0.ravel()
+    for m, x in enumerate(iterates, 1):
+        if m == p.max_inner or _rel_change_done(
+            float(np.linalg.norm(x - prev)), float(np.linalg.norm(prev)), p.tau
+        ):
+            return x.reshape(x0.shape), m
+        prev = x
 
 
 def fwsb_linear_solve(c: np.ndarray, x0: np.ndarray, p: BregmanParams, system: FwsbSystem):
     """Relaxed fixed-point solve of (I - beta*theta*Lap_w) X = c, fully vectorised.
 
     Splitting the system matrix across the identity and relaxing the step
-    by system.omega turns the solve into
-    X <- X + omega*(c + beta*theta*Lap_w X - X), warm-started from x0.
-    c is scaled by omega once per solve; each iteration then applies the
-    precomputed stencil of system, the FwsbSystem that holds the weights,
-    beta and theta.  Each step shrinks the error by a factor of at most
-    (theta/bound)/(2 + theta/bound), with bound = theta_bound(w, beta),
-    which is below 1/3 since building the system checked theta < bound.
-    The change X_{m+1} - X_m
-    equals omega*(c - A X_m), so the stopping rule reads scaled residual
-    norms; it is skipped on the last allowed iteration.  Returns
-    (solution, iterations).
+    by omega turns the solve into X <- X + omega*(c + beta*theta*Lap_w X - X),
+    warm-started from x0; system, the FwsbSystem that holds the weights,
+    beta, theta and omega, yields the iterates.  Each step shrinks the
+    error by a factor of at most (theta/bound)/(2 + theta/bound), with
+    bound = theta_bound(w, beta), which is below 1/3 since building the
+    system checked theta < bound.  Stops by the shared rule of _solve; p
+    supplies only tau and max_inner.  Returns (solution, iterations).
     """
-    flat_c = system.omega * c.ravel()
-    x = x0.flatten()
-    x_new, tmp = np.empty_like(x), np.empty_like(x)
-    for m in range(1, p.max_inner + 1):
-        system.apply(flat_c, x, x_new, tmp)
-        x, x_new = x_new, x
-        if m == p.max_inner or _rel_change_done(
-            float(np.linalg.norm(np.subtract(x, x_new, out=tmp))),
-            float(np.linalg.norm(x_new)),
-            p.tau,
-        ):
-            return x.reshape(c.shape), m
+    return _solve(system.iterates(c, x0), x0, p)
 
 
 def _sheared_image(plane: np.ndarray) -> np.ndarray:
@@ -268,8 +282,8 @@ class GaussSeidelSystem(_System):
     once.
 
     The iterate and right-hand-side buffers live in the system too, so one
-    system serves one solve at a time: starting a second sweep generator
-    overwrites the first one's iterate.
+    system serves one solve at a time: starting a second iterates
+    generator overwrites the first one's iterate.
     """
 
     def __init__(self, w: WeightField, beta: float, theta: float):
@@ -307,7 +321,7 @@ class GaussSeidelSystem(_System):
                 terms[c, :, lo:hi], x[c, lo:hi], coef[c, 4, lo:hi],
             ))
 
-    def sweeps(self, b: np.ndarray, x0: np.ndarray):
+    def iterates(self, c: np.ndarray, x0: np.ndarray):
         """Endless generator of the flattened iterate after each forward sweep from x0.
 
         Each sweep runs the lexicographic per-pixel sweep one anti-diagonal
@@ -315,7 +329,7 @@ class GaussSeidelSystem(_System):
         iterates equal that loop's bit for bit.  The east and south
         products are taken for all diagonals before the first is updated.
         """
-        self._b[...] = b
+        self._b[...] = c
         self._x[...] = x0
         multiply, sum_rows = np.multiply, np.add.reduce
         while True:
@@ -333,20 +347,14 @@ def gauss_seidel_solve(
 ):
     """Forward Gauss-Seidel sweeps on the same system, lexicographic order.
 
-    Solves (I - beta*theta*Lap_w) X = c from x0 with the stopping rule of
-    fwsb_linear_solve; valid for any theta >= 0 thanks to strict diagonal
-    dominance.  system is the GaussSeidelSystem that holds the weights,
-    beta and theta; it holds the sweep's buffers too, so it must serve one
-    solve at a time.  p supplies only tau and max_inner.  Returns
+    Solves (I - beta*theta*Lap_w) X = c from x0; valid for any theta >= 0
+    thanks to strict diagonal dominance.  system, the GaussSeidelSystem
+    that holds the weights, beta and theta, yields the sweeps; it holds
+    their buffers too, so it must serve one solve at a time.  Stops by the
+    shared rule of _solve; p supplies only tau and max_inner.  Returns
     (solution, sweeps).
     """
-    prev = x0.ravel()
-    for m, cur in enumerate(system.sweeps(c, x0), 1):
-        if m == p.max_inner or _rel_change_done(
-            float(np.linalg.norm(cur - prev)), float(np.linalg.norm(prev)), p.tau
-        ):
-            return cur.reshape(x0.shape), m
-        prev = cur
+    return _solve(system.iterates(c, x0), x0, p)
 
 
 # Names only: wsb_solve and forward_backward._build_system call each

@@ -107,8 +107,9 @@ _KEYS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat key = value format; unknown keys are errors."""
+    """Parse the flat key = value format; unknown and repeated keys are errors."""
     kwargs = {ExperimentConfig: {}, SolverConfig: {}}
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,6 +121,9 @@ def parse_config(text: str) -> ExperimentConfig:
         value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"key {key!r} is set twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
         cls, attr, parse = _KEYS[key]
         try:
             kwargs[cls][attr] = parse(value)

@@ -40,9 +40,9 @@ __all__ = [
 
 WEIGHT_MODES = ("uniform", "fixed", "adaptive")
 
-# Fraction of the admissible contraction bound used as theta: safely inside
-# the open interval, close enough to the edge to keep the shrink threshold
-# lam/theta meaningful.
+# Fraction of the admissible bound theta_bound(w, beta) used as theta:
+# safely inside the open interval, close enough to the edge to keep the
+# shrink threshold lam/theta meaningful.
 THETA_SAFETY = 0.9
 
 
@@ -97,6 +97,9 @@ class SolverConfig:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_fb < 1:
             raise ConfigError("max_fb must be at least 1")
+        if not math.isfinite((self.max_fb + self.a + 1) / self.a):
+            raise ConfigError(f"a={self.a!r} is too small: t_n = (n + a + 1)/a overflows "
+                              f"within max_fb={self.max_fb} steps")
         if not (math.isfinite(self.mu_scale) and self.mu_scale > 0):
             raise ConfigError(f"mu_scale must be positive and finite, got {self.mu_scale}")
         if not (math.isfinite(self.tau) and self.tau > 0):

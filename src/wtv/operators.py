@@ -60,6 +60,10 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
         raise ConfigError(f"kernel size must be odd and positive, got {size}")
     if not (np.isfinite(sigma) and sigma > 0):
         raise ConfigError(f"sigma must be positive and finite, got {sigma}")
+    if not 2.0 * sigma * sigma > 0:
+        # the centre sample would be 0/0
+        raise ConfigError(f"sigma={sigma!r} is too small: 2*sigma^2 underflows to 0, "
+                          "so the kernel is not finite")
     ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     xx, yy = np.meshgrid(ax, ax, indexing="ij")
     k = np.exp(-(xx * xx + yy * yy) / (2.0 * sigma * sigma))

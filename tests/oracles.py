@@ -108,16 +108,19 @@ def objective_backward(
 def record_changes(system) -> list:
     """Norms of X_{m+1} - X_m, one per iteration of every later solve on system.
 
-    Wraps the instance's FwsbSystem.apply.  For the relaxed fixed-point
-    splitting the change X_{m+1} - X_m equals omega times the residual
-    c - A X_m, so its ratios follow the relaxed step's contraction.
+    Wraps the instance's iterates.  For the relaxed fixed-point splitting
+    the change X_{m+1} - X_m equals omega times the residual c - A X_m, so
+    its ratios follow the relaxed step's contraction.
     """
     changes = []
-    apply = system.apply
+    iterates = system.iterates
 
-    def recording_apply(c, x, out, tmp):
-        apply(c, x, out, tmp)
-        changes.append(float(np.linalg.norm(out - x)))
+    def recording_iterates(c, x0):
+        prev = x0.ravel()
+        for x in iterates(c, x0):
+            changes.append(float(np.linalg.norm(x - prev)))
+            prev = x
+            yield x
 
-    system.apply = recording_apply
+    system.iterates = recording_iterates
     return changes

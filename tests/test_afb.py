@@ -101,6 +101,12 @@ class TestSolverConfig:
         for bad in ({"tau": 0.0}, {"tau": -1.0}, {"max_outer": 0}, {"max_inner": 0}):
             with pytest.raises(ConfigError):
                 SolverConfig(lam=0.1, **bad)
+        # t_n = (n + a + 1)/a overflows within max_fb steps: fista_alpha
+        # gives NaN from step 1 at a = 1e-310 and from step 2 at a = 1e-308
+        for a in (1e-310, 1e-308):
+            with pytest.raises(ConfigError, match="a=.* is too small"):
+                SolverConfig(lam=0.1, a=a)
+        assert SolverConfig(lam=0.1, a=1e-300).a == 1e-300
 
 
 class TestAfbSolve:

@@ -191,6 +191,11 @@ def _reference_wsb(v, system, p, linear_solve):
     return u, total, sweep
 
 
+# (prepared system, linear solver) of each inner solver
+SOLVERS = [(FwsbSystem, fwsb_linear_solve), (GaussSeidelSystem, gauss_seidel_solve)]
+SOLVER_IDS = ["fwsb", "gauss_seidel"]
+
+
 class TestInnerSolvers:
     def test_near_identity_limit(self, rng, random_weights):
         # beta*theta -> 0 makes the system matrix approach I, so X -> b = v
@@ -200,28 +205,18 @@ class TestInnerSolvers:
         x, m = fwsb_linear_solve(v, v, p, FwsbSystem(w, 1e-3, 1e-12))
         assert np.allclose(x, v, atol=1e-10)
 
-    def test_fwsb_matches_dense_direct(self, rng, random_weights):
+    @pytest.mark.parametrize("system_type, linear_solve", SOLVERS, ids=SOLVER_IDS)
+    def test_matches_dense_direct(self, rng, random_weights, system_type, linear_solve):
         w = random_weights(16)
         beta = 0.5
         theta = 0.9 * theta_bound(w, beta)
         p = BregmanParams(lam=0.1, tau=1e-12, max_inner=500)
-        system = FwsbSystem(w, beta, theta)
+        system = system_type(w, beta, theta)
         c, x0, *_ = _random_system(rng, system)
         ref = direct_solve(c, system)
-        x, m = fwsb_linear_solve(c, x0, p, system)
+        x, m = linear_solve(c, x0, p, system)
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
         assert 0 < m <= 500
-
-    def test_gauss_seidel_matches_dense_direct(self, rng, random_weights):
-        w = random_weights(16)
-        beta = 0.5
-        theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, tau=1e-12, max_inner=500)
-        system = GaussSeidelSystem(w, beta, theta)
-        c, x0, *_ = _random_system(rng, system)
-        ref = direct_solve(c, system)
-        x, m = gauss_seidel_solve(c, x0, p, system)
-        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_solvers_agree_with_each_other(self, rng, random_weights):
         w = random_weights(12)
@@ -257,19 +252,6 @@ class TestInnerSolvers:
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
-
-    def test_fwsb_system_serves_consecutive_solves(self, rng, random_weights):
-        w = random_weights(16)
-        beta = 0.9
-        theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, tau=1e-10, max_inner=300)
-        system = FwsbSystem(w, beta, theta)
-        for _ in range(3):
-            c, x0, *_ = _random_system(rng, system)
-            x, m = fwsb_linear_solve(c, x0, p, system)
-            x_fresh, m_fresh = fwsb_linear_solve(c, x0, p, FwsbSystem(w, beta, theta))
-            assert m == m_fresh
-            assert np.array_equal(x, x_fresh)
 
     def test_fwsb_residual_contraction(self, rng, random_weights):
         # residual ratios stay at or below the relaxed step's spectral
@@ -355,18 +337,22 @@ class TestInnerSolvers:
         assert m == m_ref
         assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
 
-    def test_gauss_seidel_system_serves_consecutive_solves(self, rng, random_weights):
-        # nothing a sweep leaves in the system may reach the next solve
+    @pytest.mark.parametrize("system_type, linear_solve", SOLVERS, ids=SOLVER_IDS)
+    @pytest.mark.parametrize("tau, max_inner", [(1e-10, 300), (1e-8, 5)])
+    def test_system_serves_consecutive_solves(
+        self, rng, random_weights, system_type, linear_solve, tau, max_inner
+    ):
+        # nothing a solve leaves in the system may reach the next solve
         n = 9
         w = random_weights(n)
         beta = 0.9
         theta = 0.7 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, tau=1e-8, max_inner=5)
-        shared = GaussSeidelSystem(w, beta, theta)
+        p = BregmanParams(lam=0.1, tau=tau, max_inner=max_inner)
+        shared = system_type(w, beta, theta)
         for _ in range(3):
             c, x0, *_ = _random_system(rng, shared)
-            x, m = gauss_seidel_solve(c, x0, p, shared)
-            x_new, m_new = gauss_seidel_solve(c, x0, p, GaussSeidelSystem(w, beta, theta))
+            x, m = linear_solve(c, x0, p, shared)
+            x_new, m_new = linear_solve(c, x0, p, system_type(w, beta, theta))
             assert m == m_new
             assert np.array_equal(x.view(np.int64), x_new.view(np.int64))
 

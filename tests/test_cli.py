@@ -102,6 +102,11 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(f"problem = deblur\n{line}\n")
 
+    def test_repeated_key_rejected(self):
+        text = "problem = deblur\nn = 64\nn = 128\nlambda = 1e-3\nlambda = 5e-2\n"
+        with pytest.raises(ConfigError, match=r"'n' is set twice, on lines 2 and 3"):
+            parse_config(text)
+
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("problem deblur\n")
@@ -382,6 +387,13 @@ class TestMain:
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_key_exits_two_before_writing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(tiny_config_text(tmp_path / "out") + "n = 64\n")
+        assert main(["run", str(cfg_path)]) == 2
+        assert "'n' is set twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "bad",
         [
@@ -400,11 +412,16 @@ class TestMain:
             {"tau": "inf"},
             {"blur_sigma": "inf"},
             {"r0": "inf"},
+            # 2*sigma^2 underflows to 0, so the kernel's centre sample is 0/0
+            {"blur_sigma": 1e-170},
+            {"blur_sigma": 1e-170, "weight_mode": "uniform"},
+            {"a": 1e-310},  # t_n = (n + a + 1)/a overflows
         ],
         ids=[
             "tau", "max_inner", "mask_lines", "blur_sigma", "blur_size", "noise", "seed",
             "beta", "mu_scale_inf", "mu_scale_overflow", "a_inf", "epsilon_inf", "tau_inf",
-            "blur_sigma_inf", "r0_inf",
+            "blur_sigma_inf", "r0_inf", "blur_sigma_underflow", "blur_sigma_underflow_uniform",
+            "a_overflow",
         ],
     )
     def test_out_of_range_value_exits_two_before_writing(self, tmp_path, capsys, bad):
