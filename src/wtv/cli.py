@@ -204,12 +204,13 @@ def _fmt_psnr(value: float) -> str:
 
 def _write_trace(path, trace) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("n,psnr,objective,rel_change,cum_seconds,inner_iters\n")
+        fh.write("n,psnr,objective,rel_change,cum_seconds,inner_iters,alpha,sweeps\n")
         for i in range(len(trace)):
             fh.write(
                 f"{trace.iterations[i]},{_fmt_psnr(trace.psnr[i])},"
                 f"{trace.objective[i]:.10e},{trace.rel_change[i]:.6e},"
-                f"{trace.cum_seconds[i]:.3f},{trace.inner_iters[i]}\n"
+                f"{trace.cum_seconds[i]:.3f},{trace.inner_iters[i]},"
+                f"{trace.alpha[i]!r},{trace.sweeps[i]}\n"
             )
 
 

@@ -3,8 +3,9 @@
 Minimises 1/2 ||A u - z||^2 + lam * WTV_w(u) by alternating an explicit
 gradient step on the data term with the split-Bregman proximal solve of the
 weighted-TV term, plus momentum extrapolation on a t-sequence
-t_n = (n + a + 1)/a.  The gradient step size beta must stay below
-1/lambda_max(A^T A), validated by power iteration at entry.
+t_n = (n + a + 1)/a, restarted by a gradient test under fixed weights.
+The gradient step size beta must stay below 1/lambda_max(A^T A),
+validated by power iteration at entry.
 """
 
 from __future__ import annotations
@@ -62,6 +63,14 @@ class SolverConfig:
     into its next sweep, so solving every system to tau is not needed
     (Goldstein & Osher, SIAM J. Imaging Sci. 2009).  A direct
     BregmanParams keeps its own default and solves to tau.
+
+    With weight_mode fixed or uniform the momentum restarts (the gradient
+    test of O'Donoghue & Candes, FoCM 2015): a step whose backward output
+    u_tilde satisfies (u - u_tilde) . (u_tilde - u_tilde_prev) > 0, with u
+    the point its forward step started from, applies alpha = 0, and later
+    steps count the schedule from there.  Adaptive weights keep the plain
+    schedule, since each weight rebuild changes the objective.  no_accel
+    sets alpha = 0 on every step.
     """
 
     lam: float | None = None
@@ -113,8 +122,10 @@ class RunTrace:
     """Per-iteration log of one solver run.
 
     Row n = 0 describes the starting point adjoint(z); rel_change is NaN
-    there.  cum_seconds accumulates wall time and is the only column that
-    may differ between reruns of the same configuration.
+    there, and alpha, inner_iters and sweeps are 0 (append's defaults for
+    the last two).  alpha is the momentum weight a step applied, sweeps its
+    Bregman sweep count.  cum_seconds accumulates wall time and is the only
+    column that may differ between reruns of the same configuration.
     """
 
     iterations: list = field(default_factory=list)
@@ -123,14 +134,18 @@ class RunTrace:
     rel_change: list = field(default_factory=list)
     cum_seconds: list = field(default_factory=list)
     inner_iters: list = field(default_factory=list)
+    alpha: list = field(default_factory=list)
+    sweeps: list = field(default_factory=list)
 
-    def append(self, n, psnr_val, obj, rel, seconds, inner):
+    def append(self, n, psnr_val, obj, rel, seconds, inner, alpha=0.0, sweeps=0):
         self.iterations.append(n)
         self.psnr.append(psnr_val)
         self.objective.append(obj)
         self.rel_change.append(rel)
         self.cum_seconds.append(seconds)
         self.inner_iters.append(inner)
+        self.alpha.append(alpha)
+        self.sweeps.append(sweeps)
 
     def __len__(self) -> int:
         return len(self.iterations)
@@ -201,9 +216,15 @@ def afb_solve(
     """Run the accelerated forward-backward loop; returns (u, RunTrace).
 
     Starts from adjoint(z), stops when the iterate's relative change drops
-    below cfg.epsilon or after cfg.max_fb steps.  A non-finite iterate
-    raises DivergenceError naming the iteration; an r0 whose lam
-    overflows raises ConfigError before the first step.
+    below cfg.epsilon or after cfg.max_fb steps.  Step n extrapolates by
+    alpha = fista_alpha(k, cfg.a), k the steps since the last momentum
+    restart (see SolverConfig; k = n with adaptive weights); a restart step
+    and every step under no_accel apply alpha = 0.  On the 128x128 and
+    256x256 deblur runs measured the restart fired once, on the step where
+    the run then stopped, so it cut the momentum's overshoot tail and left
+    every earlier iterate as it was.  A non-finite iterate raises
+    DivergenceError naming the iteration; an r0 whose lam overflows raises
+    ConfigError before the first step.
     """
     if z.shape != model.data_shape:
         raise ConfigError(f"data shape {z.shape} != model {model.data_shape}")
@@ -232,7 +253,7 @@ def afb_solve(
 
     trace = RunTrace()
 
-    def log(n, image, obj_image, rel, inner):
+    def log(n, image, obj_image, rel, inner, alpha=0.0, sweeps=0):
         val = psnr(image, reference) if reference is not None else float("nan")
         trace.append(
             n,
@@ -241,19 +262,29 @@ def afb_solve(
             rel,
             sw.elapsed,
             inner,
+            alpha,
+            sweeps,
         )
 
     log(0, u, u, float("nan"), 0)
 
+    # gradient restart; each weight rebuild changes the objective, so
+    # adaptive weights keep the plain schedule
+    restarts = not cfg.no_accel and cfg.weight_mode != "adaptive"
+    k = 0  # steps since the momentum last restarted
     for it in range(1, cfg.max_fb + 1):
         with sw.scope():
             if cfg.weight_mode == "adaptive" and it > 1:
                 w, mu = _build_weights(u, cfg, mu)
                 system = _build_system(w, cfg)
             v = forward_step(u, model, z, cfg.beta)
-            u_tilde, m_inner, _ = wsb_solve(v, params, system)
-            alpha = 0.0 if cfg.no_accel else fista_alpha(it, cfg.a)
-            u_new = u_tilde + alpha * (u_tilde - u_tilde_prev)
+            u_tilde, m_inner, sweeps = wsb_solve(v, params, system)
+            step = u_tilde - u_tilde_prev
+            k += 1
+            if restarts and np.vdot(u - u_tilde, step) > 0:
+                k = 0
+            alpha = 0.0 if cfg.no_accel or k == 0 else fista_alpha(k, cfg.a)
+            u_new = u_tilde + alpha * step
             if not np.all(np.isfinite(u_new)):
                 raise DivergenceError(
                     f"iterate became non-finite at forward-backward step {it}", it
@@ -263,7 +294,7 @@ def afb_solve(
             rel = diff_norm / new_norm if new_norm >= 1e-14 else diff_norm
             u = u_new
             u_tilde_prev = u_tilde
-        log(it, u, u_tilde, rel, m_inner)
+        log(it, u, u_tilde, rel, m_inner, alpha, sweeps)
         if rel < cfg.epsilon:
             break
     return u, trace

@@ -66,7 +66,10 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
                           "so the kernel is not finite")
     ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     xx, yy = np.meshgrid(ax, ax, indexing="ij")
-    k = np.exp(-(xx * xx + yy * yy) / (2.0 * sigma * sigma))
+    # a subnormal 2*sigma^2 sends the off-centre exponents to -inf, whose
+    # exp is the correct 0: the kernel is then the unit impulse
+    with np.errstate(over="ignore"):
+        k = np.exp(-(xx * xx + yy * yy) / (2.0 * sigma * sigma))
     return k / k.sum()
 
 

@@ -334,6 +334,8 @@ def test_criterion_09_reruns_reproduce_traces():
         same = (
             a.iterations == b.iterations
             and a.inner_iters == b.inner_iters
+            and a.alpha == b.alpha
+            and a.sweeps == b.sweeps
             and np.array_equal(a.psnr, b.psnr)
             and np.array_equal(a.objective, b.objective)
             and np.array_equal(a.rel_change, b.rel_change, equal_nan=True)

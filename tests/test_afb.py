@@ -238,6 +238,61 @@ class TestAfbSolve:
             u, _, _ = wsb_solve(v, p, system)
         assert np.array_equal(u_solver, u)
 
+    def test_fixed_weights_restart_matches_manual_recursion(self):
+        # gradient restart: alpha = 0 when (u - u_tilde) . (u_tilde -
+        # u_tilde_prev) > 0, and the schedule counts again from that step
+        from wtv.bregman import BregmanParams, FwsbSystem, theta_bound, wsb_solve
+        from wtv.forward_backward import THETA_SAFETY
+        from wtv.potential import LogExpParams, compute_weights, default_mu
+
+        truth = piecewise_test_image(32)
+        model = GaussianBlurModel(32, sigma=1.5, size=9)
+        z = add_gaussian_noise(model.apply(truth), NoiseSpec(0.5e-2, 0))
+        cfg = SolverConfig(lam=5e-3, weight_mode="fixed", mu_scale=1e-2,
+                           epsilon=1e-12, max_fb=45)
+        u_solver, trace = afb_solve(model, z, cfg)
+
+        u = model.adjoint(z)
+        w = compute_weights(u, LogExpParams(cfg.mu_scale * default_mu(u)))
+        p = BregmanParams(
+            lam=cfg.lam, tau=cfg.tau, max_outer=cfg.max_outer, max_inner=cfg.max_inner
+        )
+        system = FwsbSystem(w, cfg.beta, THETA_SAFETY * theta_bound(w, cfg.beta))
+        u_tilde_prev, k, alphas, sweeps = u, 0, [0.0], [0]
+        for _ in range(cfg.max_fb):
+            v = forward_step(u, model, z, cfg.beta)
+            u_tilde, _, m = wsb_solve(v, p, system)
+            k += 1
+            if np.vdot(u - u_tilde, u_tilde - u_tilde_prev) > 0:
+                k = 0
+            alphas.append(fista_alpha(k, cfg.a) if k else 0.0)
+            sweeps.append(m)
+            u = u_tilde + alphas[-1] * (u_tilde - u_tilde_prev)
+            u_tilde_prev = u_tilde
+        restarts = [n for n, alpha in enumerate(alphas) if n and alpha == 0.0]
+        # it fires mid-run, so later steps use the restarted schedule
+        assert restarts and restarts[0] < cfg.max_fb - 1
+        assert np.array_equal(u_solver, u)
+        assert trace.alpha == alphas
+        assert trace.sweeps == sweeps
+
+    def test_adaptive_weights_never_restart(self):
+        # each weight rebuild changes the objective, so the momentum keeps
+        # its schedule; restarted, this run would reset at step 6
+        truth, model, z = small_cs_problem(n=16)
+        cfg = SolverConfig(lam=1e-3, weight_mode="adaptive", mu_scale=7.5e-5, max_fb=10)
+        _, trace = afb_solve(model, z, cfg)
+        assert len(trace) - 1 == cfg.max_fb
+        assert trace.alpha == [0.0] + [fista_alpha(n, cfg.a) for n in range(1, len(trace))]
+
+    def test_no_accel_alpha_column_is_zero(self):
+        truth, model, z = small_cs_problem()
+        cfg = SolverConfig(lam=1e-3, weight_mode="fixed", mu_scale=7.5e-5, max_fb=6,
+                           no_accel=True)
+        _, trace = afb_solve(model, z, cfg)
+        assert len(trace) == cfg.max_fb + 1
+        assert trace.alpha == [0.0] * len(trace)
+
     def test_divergence_reported_with_iteration(self):
         class _Explodes(ForwardModel):
             def __init__(self, n):

@@ -1,5 +1,7 @@
 """Forward models (blur, masked Fourier), the radial mask, and spectral norms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,17 @@ class TestGaussianKernel:
         assert np.array_equal(k, k[::-1, :])
         assert np.array_equal(k, k[:, ::-1])
         assert np.array_equal(k, k.T)
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-155])
+    def test_subnormal_width_is_silent_unit_impulse(self, sigma):
+        # 2*sigma^2 is subnormal but not 0: the off-centre exponents
+        # overflow to -inf and their exp is exactly 0
+        impulse = np.zeros((9, 9))
+        impulse[4, 4] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = gaussian_kernel(9, sigma)
+        assert np.array_equal(k, impulse)
 
 
 class TestGaussianBlurModel:
