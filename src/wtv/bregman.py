@@ -21,9 +21,10 @@ system, built once per weight field, that holds the weights w, theta,
 beta*theta and the scaled five-point stencil.  Both kinds of system
 offer one method, iterates(c, x0): an endless generator of the
 flattened iterate after each step from x0, for the right-hand side c as
-it is.  The loop's own settings, lam, tau and the iteration caps, come
-in a BregmanParams that serves a whole run.  Two interchangeable linear
-solvers are provided:
+it is.  The loop's own settings, lam, tau and the iteration caps, are
+fields of the run's forward_backward.SolverConfig, the one settings
+object of a solve; this module reads no other field of it.  Two
+interchangeable linear solvers are provided:
 
 * fwsb_linear_solve: relaxed fixed-point iteration
   X <- X + omega*(c + beta*theta*Lap_w X - X) from the identity splitting
@@ -62,8 +63,6 @@ prepared system it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -71,7 +70,6 @@ from .errors import ConfigError
 from .grid import WeightField, _stencil_coeffs, div_w, grad_w, laplacian_inf_norm
 
 __all__ = [
-    "BregmanParams",
     "FwsbSystem",
     "GaussSeidelSystem",
     "soft",
@@ -104,7 +102,12 @@ def theta_bound(w: WeightField, beta: float) -> float:
     """Largest admissible penalty for the fixed-point solver: 1/(beta*||Lap_w||_inf).
 
     Raises ConfigError when the weighted Laplacian is zero, as on a 1x1
-    grid, where no pixel has a neighbour and no bound exists.
+    grid, where no pixel has a neighbour and no bound exists, and when
+    beta is so small (subnormal, say) that the bound overflows.
+
+    beta > 0 is checked here and again by each prepared system: a caller
+    of theta_bound alone never builds a system, and GaussSeidelSystem
+    never calls theta_bound.
     """
     if not beta > 0:
         raise ConfigError(f"beta must be positive, got {beta}")
@@ -112,32 +115,11 @@ def theta_bound(w: WeightField, beta: float) -> float:
     if norm == 0:
         raise ConfigError("the weighted Laplacian is zero (no pixel has a weighted "
                           "neighbour, as on a 1x1 grid), so theta has no bound")
-    return 1.0 / (beta * norm)
-
-
-@dataclass(frozen=True)
-class BregmanParams:
-    """Settings of the split-Bregman loop and its linear solves.
-
-    lam weights the TV term, tau is the relative-change tolerance of both
-    loops, and max_outer and max_inner cap the Bregman sweeps and the
-    iterations of each linear solve.  The system's weights, beta and theta
-    belong to the prepared system, not here, so one BregmanParams serves a
-    whole run while the system is rebuilt per weight field.
-    """
-
-    lam: float
-    tau: float = 1e-4
-    max_outer: int = 30
-    max_inner: int = 50
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (np.isfinite(self.tau) and self.tau > 0):
-            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ConfigError("iteration caps must be at least 1")
+    bound = 1.0 / (beta * norm) if beta * norm > 0 else np.inf
+    if not np.isfinite(bound):
+        raise ConfigError(f"beta={beta!r} is too small: the bound on theta, "
+                          "1/(beta*||Lap_w||_inf), overflows")
+    return bound
 
 
 def _rel_change_done(diff_norm: float, ref_norm: float, tau: float) -> bool:
@@ -226,24 +208,25 @@ class FwsbSystem(_System):
             yield x
 
 
-def _solve(iterates, x0: np.ndarray, p: BregmanParams):
+def _solve(iterates, x0: np.ndarray, cfg):
     """The stopping rule of both linear solvers.
 
     Draws from iterates, a system's generator started from x0, until the
-    iterate's relative change falls below tau or max_inner is reached.
-    The test is skipped on the last allowed iteration, where it cannot
-    change what is returned.  Returns (solution, iterations).
+    iterate's relative change falls below cfg.tau or cfg.max_inner is
+    reached, cfg being the run's SolverConfig.  The test is skipped on the
+    last allowed iteration, where it cannot change what is returned.
+    Returns (solution, iterations).
     """
     prev = x0.ravel()
     for m, x in enumerate(iterates, 1):
-        if m == p.max_inner or _rel_change_done(
-            float(np.linalg.norm(x - prev)), float(np.linalg.norm(prev)), p.tau
+        if m == cfg.max_inner or _rel_change_done(
+            float(np.linalg.norm(x - prev)), float(np.linalg.norm(prev)), cfg.tau
         ):
             return x.reshape(x0.shape), m
         prev = x
 
 
-def fwsb_linear_solve(c: np.ndarray, x0: np.ndarray, p: BregmanParams, system: FwsbSystem):
+def fwsb_linear_solve(c: np.ndarray, x0: np.ndarray, cfg, system: FwsbSystem):
     """Relaxed fixed-point solve of (I - beta*theta*Lap_w) X = c, fully vectorised.
 
     Splitting the system matrix across the identity and relaxing the step
@@ -252,10 +235,11 @@ def fwsb_linear_solve(c: np.ndarray, x0: np.ndarray, p: BregmanParams, system: F
     beta, theta and omega, yields the iterates.  Each step shrinks the
     error by a factor of at most (theta/bound)/(2 + theta/bound), with
     bound = theta_bound(w, beta), which is below 1/3 since building the
-    system checked theta < bound.  Stops by the shared rule of _solve; p
-    supplies only tau and max_inner.  Returns (solution, iterations).
+    system checked theta < bound.  Stops by the shared rule of _solve,
+    reading only tau and max_inner from cfg, the run's SolverConfig.
+    Returns (solution, iterations).
     """
-    return _solve(system.iterates(c, x0), x0, p)
+    return _solve(system.iterates(c, x0), x0, cfg)
 
 
 def _sheared_image(plane: np.ndarray) -> np.ndarray:
@@ -342,19 +326,17 @@ class GaussSeidelSystem(_System):
             yield self._x.flatten()
 
 
-def gauss_seidel_solve(
-    c: np.ndarray, x0: np.ndarray, p: BregmanParams, system: GaussSeidelSystem
-):
+def gauss_seidel_solve(c: np.ndarray, x0: np.ndarray, cfg, system: GaussSeidelSystem):
     """Forward Gauss-Seidel sweeps on the same system, lexicographic order.
 
     Solves (I - beta*theta*Lap_w) X = c from x0; valid for any theta >= 0
     thanks to strict diagonal dominance.  system, the GaussSeidelSystem
     that holds the weights, beta and theta, yields the sweeps; it holds
     their buffers too, so it must serve one solve at a time.  Stops by the
-    shared rule of _solve; p supplies only tau and max_inner.  Returns
-    (solution, sweeps).
+    shared rule of _solve, reading only tau and max_inner from cfg, the
+    run's SolverConfig.  Returns (solution, sweeps).
     """
-    return _solve(system.iterates(c, x0), x0, p)
+    return _solve(system.iterates(c, x0), x0, cfg)
 
 
 # Names only: wsb_solve and forward_backward._build_system call each
@@ -363,7 +345,7 @@ def gauss_seidel_solve(
 INNER_SOLVERS = ("fwsb", "gauss_seidel")
 
 
-def wsb_solve(v: np.ndarray, p: BregmanParams, system: FwsbSystem | GaussSeidelSystem):
+def wsb_solve(v: np.ndarray, cfg, system: FwsbSystem | GaussSeidelSystem):
     """Split-Bregman loop for the backward subproblem.
 
     Carries U, the Bregman field e and the residual r = d - e of the
@@ -386,25 +368,27 @@ def wsb_solve(v: np.ndarray, p: BregmanParams, system: FwsbSystem | GaussSeidelS
     system is the inner solver's prepared system, which holds the weights
     w, theta and beta*theta, and its type picks the linear solver:
     fwsb_linear_solve for an FwsbSystem, gauss_seidel_solve for a
-    GaussSeidelSystem.  p supplies lam, tau and the caps.  theta == 0 (the
+    GaussSeidelSystem, whatever cfg.inner says.  cfg is the run's
+    forward_backward.SolverConfig, of which wsb_solve and the linear
+    solves read only lam, tau, max_outer and max_inner.  theta == 0 (the
     identity system) leaves the shrink level undefined, so it raises
     ConfigError unless lam == 0.  Returns (U, total inner iterations,
     outer sweeps).
     """
-    if system.theta == 0 and p.lam != 0:
+    if system.theta == 0 and cfg.lam != 0:
         raise ConfigError("theta == 0 requires lam == 0")
     solve = fwsb_linear_solve if isinstance(system, FwsbSystem) else gauss_seidel_solve
     w, bt = system.w, system.bt
-    lvl = p.lam / system.theta if system.theta > 0 else 0.0
+    lvl = cfg.lam / system.theta if system.theta > 0 else 0.0
     u = v
     e, r = np.zeros((2, 2, *v.shape))
     c, step = np.empty((2, *v.shape))
     total_inner = 0
-    for outer in range(1, p.max_outer + 1):
+    for outer in range(1, cfg.max_outer + 1):
         div_w(r[0], r[1], w, out=c)
         c *= bt
         c += v
-        x, m = solve(c, u, p, system)
+        x, m = solve(c, u, cfg, system)
         total_inner += m
         # z = grad_w(U) + e in r, then e = cut(z) and r = (z - e) - e
         grad_w(x, w, out=r)
@@ -413,7 +397,7 @@ def wsb_solve(v: np.ndarray, p: BregmanParams, system: FwsbSystem | GaussSeidelS
         r -= e
         r -= e
         done = outer > 1 and _rel_change_done(
-            float(np.linalg.norm(np.subtract(x, u, out=step))), float(np.linalg.norm(u)), p.tau
+            float(np.linalg.norm(np.subtract(x, u, out=step))), float(np.linalg.norm(u)), cfg.tau
         )
         u = x
         if done:

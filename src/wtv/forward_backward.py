@@ -11,13 +11,12 @@ validated by power iteration at entry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bregman import (
     INNER_SOLVERS,
-    BregmanParams,
     FwsbSystem,
     GaussSeidelSystem,
     theta_bound,
@@ -61,8 +60,10 @@ class SolverConfig:
     fast-splitting step for fwsb, one forward Gauss-Seidel sweep for
     gauss_seidel.  The Bregman loop carries what one step leaves unsolved
     into its next sweep, so solving every system to tau is not needed
-    (Goldstein & Osher, SIAM J. Imaging Sci. 2009).  A direct
-    BregmanParams keeps its own default and solves to tau.
+    (Goldstein & Osher, SIAM J. Imaging Sci. 2009).  The same object
+    carries lam, tau, max_outer and max_inner into bregman.wsb_solve and
+    its linear solves, which read no other field; a direct caller that
+    wants each system solved to tau passes a larger max_inner.
 
     With weight_mode fixed or uniform the momentum restarts (the gradient
     test of O'Donoghue & Candes, FoCM 2015): a step whose backward output
@@ -159,11 +160,10 @@ def forward_step(
 
 
 def fista_alpha(n: int, a: float) -> float:
-    """Extrapolation coefficient (t_{n-1} - 1) / t_n with t_n = (n + a + 1)/a."""
-    if n < 1:
-        raise ConfigError(f"iteration index must be >= 1, got {n}")
-    if not a > 0:
-        raise ConfigError(f"a must be positive, got {a}")
+    """Extrapolation coefficient (t_{n-1} - 1) / t_n with t_n = (n + a + 1)/a.
+
+    Takes n >= 1 and a > 0 unchecked: SolverConfig has checked a.
+    """
     t_prev = (n + a) / a
     t_cur = (n + a + 1) / a
     return (t_prev - 1.0) / t_cur
@@ -224,7 +224,8 @@ def afb_solve(
     the run then stopped, so it cut the momentum's overshoot tail and left
     every earlier iterate as it was.  A non-finite iterate raises
     DivergenceError naming the iteration; an r0 whose lam overflows raises
-    ConfigError before the first step.
+    ConfigError before the first step.  When lam is unset it is resolved
+    from r0 once, into a copy of cfg that every backward step then reads.
     """
     if z.shape != model.data_shape:
         raise ConfigError(f"data shape {z.shape} != model {model.data_shape}")
@@ -237,16 +238,13 @@ def afb_solve(
     sw = Stopwatch()
     with sw.scope():
         u = model.adjoint(z)
-        lam = cfg.lam
-        if lam is None:
+        if cfg.lam is None:
             norm = float(np.abs(u).sum())
             lam = cfg.r0 * norm
             if not math.isfinite(lam):
                 raise ConfigError(f"r0={cfg.r0!r} times ||adjoint(z)||_1 = {norm!r} "
                                   f"gives lam={lam!r}, which is not finite")
-        params = BregmanParams(
-            lam=lam, tau=cfg.tau, max_outer=cfg.max_outer, max_inner=cfg.max_inner
-        )
+            cfg = replace(cfg, lam=lam)
         w, mu = _build_weights(u, cfg, None)
         system = _build_system(w, cfg)
         u_tilde_prev = u
@@ -258,7 +256,7 @@ def afb_solve(
         trace.append(
             n,
             val,
-            objective_composite(obj_image, model, z, w, lam),
+            objective_composite(obj_image, model, z, w, cfg.lam),
             rel,
             sw.elapsed,
             inner,
@@ -278,7 +276,7 @@ def afb_solve(
                 w, mu = _build_weights(u, cfg, mu)
                 system = _build_system(w, cfg)
             v = forward_step(u, model, z, cfg.beta)
-            u_tilde, m_inner, sweeps = wsb_solve(v, params, system)
+            u_tilde, m_inner, sweeps = wsb_solve(v, cfg, system)
             step = u_tilde - u_tilde_prev
             k += 1
             if restarts and np.vdot(u - u_tilde, step) > 0:

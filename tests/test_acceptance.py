@@ -14,7 +14,6 @@ import numpy as np
 
 from oracles import direct_solve, laplacian_w, objective_backward, record_changes
 from wtv.bregman import (
-    BregmanParams,
     FwsbSystem,
     GaussSeidelSystem,
     cut,
@@ -85,7 +84,7 @@ def test_criterion_01_inner_solvers_match_dense_oracle():
     for _ in range(20):
         beta = 0.5
         w, theta, c, x0 = _random_instance(rng, beta)
-        p = BregmanParams(lam=0.1, tau=1e-12, max_inner=2000)
+        p = SolverConfig(lam=0.1, tau=1e-12, max_inner=2000)
         systems = FwsbSystem(w, beta, theta), GaussSeidelSystem(w, beta, theta)
         exact = direct_solve(c, systems[0])
         ref = np.linalg.norm(exact)
@@ -125,7 +124,7 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
         # has its spectrum in [1 - omega - omega*rho, 1 - omega]
         omega = 2 / (2 + theta / theta_bound(w, beta))
         relaxed = max(1 - omega, abs(1 - omega - omega * rho))
-        p = BregmanParams(lam=0.1, tau=1e-13, max_inner=400)
+        p = SolverConfig(lam=0.1, tau=1e-13, max_inner=400)
         system = FwsbSystem(w, beta, theta)
         residuals = record_changes(system)
         fwsb_linear_solve(c, x0, p, system)
@@ -235,7 +234,7 @@ def test_criterion_06_backward_step_never_worse_than_input():
     worst_gain = -np.inf
     for v, w, lam in fixtures:
         theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=lam, tau=1e-8, max_outer=60, max_inner=200)
+        p = SolverConfig(lam=lam, tau=1e-8, max_outer=60, max_inner=200)
         u, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, theta))
         before = objective_backward(v, v, w, lam, beta)
         after = objective_backward(u, v, w, lam, beta)
@@ -244,7 +243,7 @@ def test_criterion_06_backward_step_never_worse_than_input():
     tau = 1e-6
     w = random_w(12)
     v = rng.normal(size=(12, 12))
-    p0 = BregmanParams(lam=0.0, tau=tau, max_outer=200, max_inner=200)
+    p0 = SolverConfig(lam=0.0, tau=tau, max_outer=200, max_inner=200)
     u0, _, _ = wsb_solve(v, p0, FwsbSystem(w, beta, 0.5 * theta_bound(w, beta)))
     drift = float(np.linalg.norm(u0 - v)) / float(np.linalg.norm(v))
     ok = worst_gain <= 1e-12 and drift <= 10 * tau

@@ -13,7 +13,6 @@ from oracles import (
     system_matrix,
 )
 from wtv.bregman import (
-    BregmanParams,
     FwsbSystem,
     GaussSeidelSystem,
     cut,
@@ -24,7 +23,8 @@ from wtv.bregman import (
     wsb_solve,
 )
 from wtv.errors import ConfigError
-from wtv.grid import _stencil_coeffs, div_w, grad_w, unit_weights, weighted_tv
+from wtv.forward_backward import SolverConfig
+from wtv.grid import WeightField, _stencil_coeffs, div_w, grad_w, unit_weights, weighted_tv
 from wtv.operators import estimate_spectral_norm
 
 
@@ -86,15 +86,14 @@ class TestThetaBound:
         with pytest.raises(ConfigError, match="Laplacian is zero"):
             theta_bound(unit_weights(1), 0.9)
 
-
-class TestBregmanParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BregmanParams(lam=-1.0)
-        with pytest.raises(ValueError):
-            BregmanParams(lam=0.1, tau=0.0)
-        with pytest.raises(ValueError):
-            BregmanParams(lam=0.1, tau=float("inf"))
+    @pytest.mark.parametrize("scale", [1.0, 1e-10], ids=["overflows", "underflows"])
+    def test_subnormal_beta_is_named(self, scale):
+        # 1/(beta*||Lap_w||_inf) overflows, or beta*||Lap_w||_inf underflows
+        # to 0 where the weights are small too: the error names beta, not
+        # the theta derived from the bound
+        w = WeightField(np.full((8, 8), scale), np.full((8, 8), scale))
+        with pytest.raises(ConfigError, match="beta=1e-320 is too small"):
+            theta_bound(w, 1e-320)
 
 
 @pytest.mark.parametrize("system_type", [FwsbSystem, GaussSeidelSystem])
@@ -111,8 +110,8 @@ class TestSystemValidation:
         w = random_weights(8)
         system = system_type(w, 0.9, 0.0)
         with pytest.raises(ConfigError, match="requires lam == 0"):
-            wsb_solve(np.ones((8, 8)), BregmanParams(lam=0.1), system)
-        u, _, _ = wsb_solve(np.ones((8, 8)), BregmanParams(lam=0.0), system)
+            wsb_solve(np.ones((8, 8)), SolverConfig(lam=0.1, max_inner=50), system)
+        u, _, _ = wsb_solve(np.ones((8, 8)), SolverConfig(lam=0.0, max_inner=50), system)
         assert np.array_equal(u, np.ones((8, 8)))
 
 
@@ -201,7 +200,7 @@ class TestInnerSolvers:
         # beta*theta -> 0 makes the system matrix approach I, so X -> b = v
         w = random_weights(8)
         v = rng.normal(size=(8, 8))
-        p = BregmanParams(lam=0.1, tau=1e-13, max_inner=50)
+        p = SolverConfig(lam=0.1, tau=1e-13, max_inner=50)
         x, m = fwsb_linear_solve(v, v, p, FwsbSystem(w, 1e-3, 1e-12))
         assert np.allclose(x, v, atol=1e-10)
 
@@ -210,7 +209,7 @@ class TestInnerSolvers:
         w = random_weights(16)
         beta = 0.5
         theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, tau=1e-12, max_inner=500)
+        p = SolverConfig(lam=0.1, tau=1e-12, max_inner=500)
         system = system_type(w, beta, theta)
         c, x0, *_ = _random_system(rng, system)
         ref = direct_solve(c, system)
@@ -222,7 +221,7 @@ class TestInnerSolvers:
         w = random_weights(12)
         beta = 0.9
         theta = 0.5 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.2, tau=1e-11, max_inner=500)
+        p = SolverConfig(lam=0.2, tau=1e-11, max_inner=500)
         system = FwsbSystem(w, beta, theta)
         c, x0, *_ = _random_system(rng, system)
         xf, _ = fwsb_linear_solve(c, x0, p, system)
@@ -244,7 +243,7 @@ class TestInnerSolvers:
         w = random_weights(n)
         beta = 0.9
         theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, tau=tau, max_inner=max_inner)
+        p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
         system = FwsbSystem(w, beta, theta)
         c, x0, v, rx, ry = _random_system(rng, system)
         x, m = fwsb_linear_solve(c, x0, p, system)
@@ -273,7 +272,7 @@ class TestInnerSolvers:
         )
         assert rho < 1.0
 
-        p = BregmanParams(lam=0.1, tau=1e-13, max_inner=200)
+        p = SolverConfig(lam=0.1, tau=1e-13, max_inner=200)
         system = FwsbSystem(w, beta, theta)
         c, x0, *_ = _random_system(rng, system)
         residuals = record_changes(system)
@@ -288,7 +287,7 @@ class TestInnerSolvers:
         # theta = 0 turns the system into the identity; the first sweep
         # already lands exactly on b = v (the second only detects it)
         w = random_weights(8)
-        p = BregmanParams(lam=0.0, tau=1e-10)
+        p = SolverConfig(lam=0.0, tau=1e-10, max_inner=50)
         v = rng.normal(size=(8, 8))
         x, m = gauss_seidel_solve(v, np.zeros((8, 8)), p, GaussSeidelSystem(w, 0.9, 0.0))
         assert m <= 2
@@ -304,7 +303,7 @@ class TestInnerSolvers:
         w = random_weights(n)
         beta = 0.9
         theta = 0.7 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, tau=tau, max_inner=max_inner)
+        p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
         system = GaussSeidelSystem(w, beta, theta)
         c, x0, *_ = _random_system(rng, system)
         x, m = gauss_seidel_solve(c, x0, p, system)
@@ -325,7 +324,7 @@ class TestInnerSolvers:
         w = random_weights(n)
         beta = 0.9
         theta = 0.7 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, tau=1e-14, max_inner=3)
+        p = SolverConfig(lam=0.1, tau=1e-14, max_inner=3)
         system = GaussSeidelSystem(w, beta, theta)
         if kind == "zeros":
             c, x0 = (np.where(rng.random((n, n)) < 0.5, -0.0, 0.0) for _ in range(2))
@@ -347,7 +346,7 @@ class TestInnerSolvers:
         w = random_weights(n)
         beta = 0.9
         theta = 0.7 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, tau=tau, max_inner=max_inner)
+        p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
         shared = system_type(w, beta, theta)
         for _ in range(3):
             c, x0, *_ = _random_system(rng, shared)
@@ -367,7 +366,7 @@ class TestInnerSolvers:
         w = random_weights(12)
         beta = 0.5
         theta = 0.9 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.1, tau=1e-10, max_inner=300)
+        p = SolverConfig(lam=0.1, tau=1e-10, max_inner=300)
         system = FwsbSystem(w, beta, theta)
         c, x0, *_ = _random_system(rng, system)
         x1, m1 = fwsb_linear_solve(c, x0, p, system)
@@ -392,7 +391,7 @@ class TestWsbSolve:
         beta = 0.9
         theta = 0.5 * theta_bound(w, beta)
         tau = 1e-6
-        p = BregmanParams(lam=0.0, tau=tau, max_outer=200, max_inner=200)
+        p = SolverConfig(lam=0.0, tau=tau, max_outer=200, max_inner=200)
         v = rng.normal(size=(12, 12))
         u, total_inner, outer = wsb_solve(v, p, FwsbSystem(w, beta, theta))
         assert np.linalg.norm(u - v) <= 10 * tau * np.linalg.norm(v)
@@ -400,7 +399,7 @@ class TestWsbSolve:
     def test_zero_input_zero_output(self, random_weights):
         w = random_weights(8)
         system = FwsbSystem(w, 0.9, 0.5 * theta_bound(w, 0.9))
-        u, _, _ = wsb_solve(np.zeros((8, 8)), BregmanParams(lam=0.3), system)
+        u, _, _ = wsb_solve(np.zeros((8, 8)), SolverConfig(lam=0.3, max_inner=50), system)
         assert np.all(u == 0)
 
     def test_objective_not_above_start(self, rng, random_weights):
@@ -408,7 +407,7 @@ class TestWsbSolve:
             local = np.random.default_rng(seed)
             w = random_weights(12)
             beta = 0.9
-            p = BregmanParams(lam=0.15, tau=1e-6, max_outer=100, max_inner=100)
+            p = SolverConfig(lam=0.15, tau=1e-6, max_outer=100, max_inner=100)
             v = local.normal(size=(12, 12))
             u, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, 0.5 * theta_bound(w, beta)))
             assert objective_backward(u, v, w, 0.15, beta) <= objective_backward(
@@ -421,7 +420,7 @@ class TestWsbSolve:
         w = unit_weights(n)
         ramp = np.tile(np.linspace(0.0, 1.0, n), (n, 1))
         beta = 0.9
-        p = BregmanParams(lam=2.0, tau=1e-8, max_outer=200, max_inner=200)
+        p = SolverConfig(lam=2.0, tau=1e-8, max_outer=200, max_inner=200)
         u, _, _ = wsb_solve(ramp, p, FwsbSystem(w, beta, 0.5 * theta_bound(w, beta)))
         assert weighted_tv(u, w) < 0.6 * weighted_tv(ramp, w)
         assert objective_backward(u, ramp, w, 2.0, beta) <= objective_backward(
@@ -441,7 +440,7 @@ class TestWsbSolve:
         w = random_weights(8)
         beta = 0.9
         theta = 0.5 * theta_bound(w, beta)
-        p = BregmanParams(lam=0.03, tau=tau, max_outer=max_outer, max_inner=100)
+        p = SolverConfig(lam=0.03, tau=tau, max_outer=max_outer, max_inner=100)
         v = rng.normal(size=(8, 8))
         system = system_type(w, beta, theta)
         u, total_inner, sweeps = wsb_solve(v, p, system)
@@ -459,7 +458,7 @@ class TestWsbSolve:
         beta = 0.9
         theta = 0.5 * theta_bound(w, beta)
         tau = 1e-8
-        p = BregmanParams(lam=0.1, tau=tau, max_outer=300, max_inner=300)
+        p = SolverConfig(lam=0.1, tau=tau, max_outer=300, max_inner=300)
         v = rng.normal(size=(12, 12))
         u_f, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, theta))
         u_g, _, _ = wsb_solve(v, p, GaussSeidelSystem(w, beta, theta))

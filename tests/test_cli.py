@@ -394,42 +394,49 @@ class TestMain:
         assert "'n' is set twice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # each row: the bad values, and the words by which the message names
+    # the setting at fault
     @pytest.mark.parametrize(
-        "bad",
+        "bad, named",
         [
-            {"tau": -1},
-            {"max_inner": 0},
-            {"problem": "cs_mri", "mask_lines": 0},
-            {"blur_sigma": -1},
-            {"blur_size": 4},
-            {"noise_variance": "nan"},
-            {"seed": -1},
-            {"beta": 1.5},
-            {"mu_scale": "inf"},
-            {"mu_scale": 1e308},  # finite, but times the automatic width it is not
-            {"a": "inf"},
-            {"epsilon": "inf"},
-            {"tau": "inf"},
-            {"blur_sigma": "inf"},
-            {"r0": "inf"},
+            ({"tau": -1}, "tau"),
+            ({"max_inner": 0}, "iteration caps"),
+            ({"problem": "cs_mri", "mask_lines": 0}, "line"),
+            ({"blur_sigma": -1}, "sigma"),
+            ({"blur_size": 4}, "kernel size"),
+            ({"noise_variance": "nan"}, "noise_variance"),
+            ({"seed": -1}, "seed"),
+            ({"beta": 1.5}, "beta"),
+            ({"mu_scale": "inf"}, "mu_scale"),
+            # finite, but times the automatic width it is not
+            ({"mu_scale": 1e308}, "mu_scale"),
+            ({"a": "inf"}, "a must"),
+            ({"epsilon": "inf"}, "epsilon"),
+            ({"tau": "inf"}, "tau"),
+            ({"blur_sigma": "inf"}, "sigma"),
+            ({"r0": "inf"}, "r0"),
             # 2*sigma^2 underflows to 0, so the kernel's centre sample is 0/0
-            {"blur_sigma": 1e-170},
-            {"blur_sigma": 1e-170, "weight_mode": "uniform"},
-            {"a": 1e-310},  # t_n = (n + a + 1)/a overflows
+            ({"blur_sigma": 1e-170}, "sigma"),
+            ({"blur_sigma": 1e-170, "weight_mode": "uniform"}, "sigma"),
+            ({"a": 1e-310}, "a="),  # t_n = (n + a + 1)/a overflows
+            # 1/(beta*||Lap_w||_inf), the bound on theta, overflows
+            ({"beta": 1e-320}, "beta"),
         ],
         ids=[
             "tau", "max_inner", "mask_lines", "blur_sigma", "blur_size", "noise", "seed",
             "beta", "mu_scale_inf", "mu_scale_overflow", "a_inf", "epsilon_inf", "tau_inf",
             "blur_sigma_inf", "r0_inf", "blur_sigma_underflow", "blur_sigma_underflow_uniform",
-            "a_overflow",
+            "a_overflow", "beta_subnormal",
         ],
     )
-    def test_out_of_range_value_exits_two_before_writing(self, tmp_path, capsys, bad):
+    def test_out_of_range_value_exits_two_before_writing(self, tmp_path, capsys, bad, named):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(tiny_config_text(tmp_path / "out", **bad))
         for argv in (["run", str(cfg_path)], ["sweep", str(cfg_path), "--lambda", "1e-3"]):
             assert main(argv) == 2
-            assert "configuration error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ")
+            assert named in err
             assert not (tmp_path / "out").exists()
 
     # warnings are errors here: too small a mu_scale must be rejected before
