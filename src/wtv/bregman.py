@@ -5,44 +5,47 @@ The subproblem is
     argmin_u  lam * (||gx_w u||_1 + ||gy_w u||_1) + 1/(2 beta) ||u - v||^2,
 
 handled by splitting the weighted differences into auxiliary fields with
-Bregman variables.  Each outer sweep solves the linear system
+Bregman variables.  Each outer sweep takes a linear solve of
 
-    (I - beta*theta*Lap_w) U = c,  c = v + beta*theta*(div of auxiliary residuals)
+    (I - beta*theta*Lap_w) U = v + beta*theta*div_w(d - e),  Lap_w = -div_w(grad_w(.)),
 
-then shrinks.  wsb_solve builds c once per sweep from the two fields it
-carries, each stacked as one (2, n, n) array: the Bregman field e and
-the residual d - e of the auxiliary field d.  Since d = soft(z) =
+then shrinks.  wsb_solve carries the two fields of that right-hand side,
+each stacked as one (2, n, n) array: the Bregman field e and the
+residual r = d - e of the auxiliary field d.  Since d = soft(z) =
 z - cut(z), one cut per sweep updates both, and d itself is never
-formed.  The fields, c and the step U_new - U live in buffers allocated
-once per call: div_w, grad_w and cut write into them through their out=
-arguments, so a sweep allocates nothing beyond div_w's one scratch array
-and the linear solve's own.  Each linear solve runs on a prepared
-system, built once per weight field, that holds the weights w, theta,
-beta*theta and the scaled five-point stencil.  Both kinds of system
-offer one method, iterates(c, x0): an endless generator of the
-flattened iterate after each step from x0, for the right-hand side c as
-it is.  The loop's own settings, lam, tau and the iteration caps, are
-fields of the run's forward_backward.SolverConfig, the one settings
-object of a solve; this module reads no other field of it.  Two
-interchangeable linear solvers are provided:
+formed.  The fields, grad_w(U) and the step U_new - U live in buffers
+allocated once per call, which grad_w and cut fill through their out=
+arguments.  Each linear solve runs on a prepared system, built once per
+weight field, that holds the weights w, theta and beta*theta.  Both
+kinds of system offer one method, iterates: an endless generator of the
+flattened iterate after each step from x0.  The loop's own settings,
+lam, tau and the iteration caps, are fields of the run's
+forward_backward.SolverConfig, the one settings object of a solve; this
+module reads no other field of it.  Two interchangeable linear solvers
+are provided:
 
 * fwsb_linear_solve: relaxed fixed-point iteration
-  X <- X + omega*(c + beta*theta*Lap_w X - X) from the identity splitting
-  of the system matrix, with c the right-hand side.  omega is Richardson's
-  optimal relaxation for the Gershgorin interval [1, 1 + theta/bound] of
-  the system matrix, 2/(2 + theta/bound) with bound = theta_bound(w, beta):
+  X <- X + omega*(v + beta*theta*div_w(r - grad_w X) - X) from the
+  identity splitting of the system matrix, written with the sweep's own
+  two operators; no stencil is kept.  omega is Richardson's optimal
+  relaxation for the Gershgorin interval [1, 1 + theta/bound] of the
+  system matrix, 2/(2 + theta/bound) with bound = theta_bound(w, beta):
   it shrinks the largest error factor per step from theta/bound (the unit
   step's slowest mode, which flips sign every step) to
   (theta/bound)/(2 + theta/bound), so a solve cut off after any number of
   steps, one included, hands the Bregman loop no wrong-signed error to
-  feed back.  FwsbSystem.iterates scales c by omega once and applies
-  the precomputed stencil, omega folded in, in a few contiguous numpy
-  calls per step.  The relaxed step contracts for any theta;
-  FwsbSystem still requires beta*theta < 1/||Lap_w||_inf (theta below
-  theta_bound), the paper's condition for the unit step, which keeps the
-  factor per step below 1/3.
+  feed back.  A solve starts from U with grad_w(U) handed in: the
+  previous sweep's shrink has computed it (grad_w(v) once per call for
+  the first sweep), so at one step per sweep a sweep runs one div_w, one
+  grad_w and one cut and forms no right-hand side.  That is the
+  linearised Bregman, or split inexact Uzawa, form of the sweep (Zhang,
+  Burger & Osher, J. Sci. Comput. 2011).  The relaxed step contracts for
+  any theta; FwsbSystem still requires beta*theta < 1/||Lap_w||_inf
+  (theta below theta_bound), the paper's condition for the unit step,
+  which keeps the factor per step below 1/3.
 * gauss_seidel_solve: classic forward Gauss-Seidel sweeps in lexicographic
-  pixel order.  The system is strictly diagonally dominant for any
+  pixel order on c = v + beta*theta*div_w(r), which wsb_solve builds once
+  per sweep.  The system is strictly diagonally dominant for any
   theta > 0, so the sweeps always converge.  Within a sweep pixel (i, j)
   reads only its west and north neighbours from the current sweep, so all
   pixels on one anti-diagonal i + j = d can be updated at once (the
@@ -146,21 +149,16 @@ class _System:
 
 
 class FwsbSystem(_System):
-    """Five-point system data reused across fast-splitting solves.
+    """The system I - beta*theta*Lap_w for fast-splitting solves.
 
     Besides w, theta and beta*theta (see _System), holds the relaxation
-    factor omega = 2/(2 + theta/theta_bound(w, beta)) and one relaxed
-    fast-splitting step of one weight field, on the flattened image: the
-    omega*beta*theta-scaled neighbour coefficients (east, west, south,
-    north) and the diagonal 1 - omega*(1 + sum of the beta*theta-scaled
-    coefficients).  On the flattened image the neighbours
-    of pixel k sit at k+1, k-1, k+n and k-n, so every stencil term is one
-    contiguous product; a term that would wrap across a row end has a zero
-    coefficient.  theta_bound gives the Gershgorin interval
-    [1, 1 + theta/bound] from which omega is derived.  Building it checks
-    theta < theta_bound(w, beta), which keeps theta inside the range the
-    interval is derived for, and raises ConfigError otherwise; the error
-    factor per step is then at most (theta/bound)/(2 + theta/bound) < 1/3.
+    factor omega = 2/(2 + theta/theta_bound(w, beta)); theta_bound gives
+    the Gershgorin interval [1, 1 + theta/bound] from which omega is
+    derived.  Building it checks theta < theta_bound(w, beta), which keeps
+    theta inside the range the interval is derived for, and raises
+    ConfigError otherwise; the error factor per step is then at most
+    (theta/bound)/(2 + theta/bound) < 1/3.  It holds no per-pixel array of
+    its own: each step applies grad_w and div_w.
     """
 
     def __init__(self, w: WeightField, beta: float, theta: float):
@@ -171,41 +169,32 @@ class FwsbSystem(_System):
                 f"theta={theta:.6g} is not below the admissible bound "
                 f"theta_bound(w, beta) = {bound:.6g}"
             )
-        n, bt = w.n, self.bt
         # Richardson's optimum for the eigenvalues of I - bt*Lap_w, which
         # Gershgorin's discs place in [1, 1 + theta/bound]
-        self.omega = omega = 2.0 / (2.0 + theta / bound)
-        coeffs = _stencil_coeffs(w)
-        self.diag = 1.0 - omega * (1.0 + bt * sum(coeffs).ravel())
-        ce, cw, cs, cn = (omega * bt * c.ravel() for c in coeffs)
-        # (coefficient, pixels updated, neighbours read) per direction
-        self.neighbours = (
-            (ce[:-1], slice(None, -1), slice(1, None)),
-            (cw[1:], slice(1, None), slice(None, -1)),
-            (cs[:-n], slice(None, -n), slice(n, None)),
-            (cn[n:], slice(n, None), slice(None, -n)),
-        )
+        self.omega = 2.0 / (2.0 + theta / bound)
 
-    def iterates(self, c: np.ndarray, x0: np.ndarray):
+    def iterates(self, v: np.ndarray, r: np.ndarray, x0: np.ndarray, g: np.ndarray):
         """Endless generator of the flattened iterate after each relaxed step from x0.
 
-        Each step is x <- x + omega*(c + beta*theta*Lap_w x - x), computed
-        as omega*c + diag*x plus the four neighbour products.  c is scaled
-        by omega once, and the iterates alternate between two buffers, so
-        a yielded iterate holds until the step after next.
+        Each step is x <- x + omega*(v + beta*theta*div_w(r - grad_w(x)) - x),
+        evaluated in that order, with r stacked (2, n, n).  g must hold
+        grad_w(x0) and is overwritten: it takes r - grad_w(x) for div_w,
+        then grad_w of the new iterate, which is computed only when the
+        step after it is drawn.  So m steps run m div_w and m - 1 grad_w.
+        Each iterate is a new array.
         """
-        c = self.omega * c.ravel()
-        x = x0.flatten()
-        out, tmp = np.empty_like(x), np.empty_like(x)
+        x = x0
         while True:
-            np.multiply(self.diag, x, out=out)
-            out += c
-            for coef, dst, src in self.neighbours:
-                t = tmp[dst]
-                np.multiply(coef, x[src], out=t)
-                out[dst] += t
-            x, out = out, x
-            yield x
+            np.subtract(r, g, out=g)
+            x_new = div_w(g[0], g[1], self.w)
+            x_new *= self.bt
+            x_new += v
+            x_new -= x
+            x_new *= self.omega
+            x_new += x
+            x = x_new
+            yield x.ravel()
+            grad_w(x, self.w, out=g)
 
 
 def _solve(iterates, x0: np.ndarray, cfg):
@@ -226,20 +215,23 @@ def _solve(iterates, x0: np.ndarray, cfg):
         prev = x
 
 
-def fwsb_linear_solve(c: np.ndarray, x0: np.ndarray, cfg, system: FwsbSystem):
-    """Relaxed fixed-point solve of (I - beta*theta*Lap_w) X = c, fully vectorised.
+def fwsb_linear_solve(v, r, x0, g, cfg, system: FwsbSystem):
+    """Relaxed fixed-point solve of (I - beta*theta*Lap_w) X = v + beta*theta*div_w(r).
 
     Splitting the system matrix across the identity and relaxing the step
-    by omega turns the solve into X <- X + omega*(c + beta*theta*Lap_w X - X),
-    warm-started from x0; system, the FwsbSystem that holds the weights,
-    beta, theta and omega, yields the iterates.  Each step shrinks the
-    error by a factor of at most (theta/bound)/(2 + theta/bound), with
-    bound = theta_bound(w, beta), which is below 1/3 since building the
-    system checked theta < bound.  Stops by the shared rule of _solve,
-    reading only tau and max_inner from cfg, the run's SolverConfig.
-    Returns (solution, iterations).
+    by omega turns the solve into
+    X <- X + omega*(v + beta*theta*div_w(r - grad_w X) - X), warm-started
+    from x0; system, the FwsbSystem that holds the weights, beta, theta
+    and omega, yields the iterates.  r is the stacked (2, n, n) field of
+    the right-hand side, and g must hold grad_w(x0): wsb_solve has it from
+    its shrink.  g is overwritten: the solve uses it as scratch.
+    Each step shrinks the error by a factor of at most
+    (theta/bound)/(2 + theta/bound), with bound = theta_bound(w, beta),
+    which is below 1/3 since building the system checked theta < bound.
+    Stops by the shared rule of _solve, reading only tau and max_inner
+    from cfg, the run's SolverConfig.  Returns (solution, iterations).
     """
-    return _solve(system.iterates(c, x0), x0, cfg)
+    return _solve(system.iterates(v, r, x0, g), x0, cfg)
 
 
 def _sheared_image(plane: np.ndarray) -> np.ndarray:
@@ -351,48 +343,58 @@ def wsb_solve(v: np.ndarray, cfg, system: FwsbSystem | GaussSeidelSystem):
     Carries U, the Bregman field e and the residual r = d - e of the
     auxiliary field d, each difference field stacked as one (2, n, n)
     array; d itself is never formed.  Starts from U = v with e = r = 0.
-    Each sweep builds c = v + beta*theta*div_w(r), solves for U from the
-    previous U, and shrinks the shifted differences z = grad_w(U) + e at
-    the level lam/theta: e = cut(z) and d = soft(z) = z - cut(z), so
-    r = (z - e) - e, which
-    equals soft(z) - cut(z) bit for bit wherever it is nonzero.  e, r, c
-    and U's change are buffers allocated once per call, which div_w,
-    grad_w and cut fill in place; the loop looks those three up as
-    module-global names, once per sweep each, so a wrapper bound to a
-    name (a tracer, say) sees every call.  It stops once U's relative
-    change falls below tau (or max_outer is hit), testing from the second
-    sweep on: the first, with e = r = 0, only smooths v toward the
-    quadratic penalty's solution, and when the linear solve stops
-    after one step its change can fall below tau before any shrinkage
-    has entered U.
+    Each sweep solves for U from the previous U with the right-hand side
+    v + beta*theta*div_w(r), and shrinks the shifted differences
+    z = grad_w(U) + e at the level lam/theta: e = cut(z) and
+    d = soft(z) = z - cut(z), so r = (z - e) - e, which equals
+    soft(z) - cut(z) bit for bit wherever it is nonzero.  e, r, grad_w(U)
+    and U's change are buffers allocated once per call, which grad_w and
+    cut fill in place.
     system is the inner solver's prepared system, which holds the weights
-    w, theta and beta*theta, and its type picks the linear solver:
-    fwsb_linear_solve for an FwsbSystem, gauss_seidel_solve for a
-    GaussSeidelSystem, whatever cfg.inner says.  cfg is the run's
-    forward_backward.SolverConfig, of which wsb_solve and the linear
-    solves read only lam, tau, max_outer and max_inner.  theta == 0 (the
-    identity system) leaves the shrink level undefined, so it raises
-    ConfigError unless lam == 0.  Returns (U, total inner iterations,
-    outer sweeps).
+    w, theta and beta*theta, and its type picks the linear solver, whatever
+    cfg.inner says.  For an FwsbSystem the sweep hands v, r, U and
+    grad_w(U), which the previous shrink left in its buffer, to
+    fwsb_linear_solve, whose first step uses them as they are; grad_w(v)
+    is taken once for the first sweep.  For a GaussSeidelSystem it builds
+    c = v + beta*theta*div_w(r) and calls gauss_seidel_solve.  The loop
+    looks the solver, div_w, grad_w and cut up as module-global names, so
+    a wrapper bound to a name (a tracer, say) sees every call: per sweep
+    one linear solve, one cut, one grad_w for the shrink and one div_w,
+    which a one-step fast-splitting solve runs itself.  It stops once U's
+    relative change falls below tau (or max_outer is hit), testing from
+    the second sweep on: the first, with e = r = 0, only smooths v toward
+    the quadratic penalty's solution, and when the linear solve stops
+    after one step its change can fall below tau before any shrinkage
+    has entered U.  cfg is the run's forward_backward.SolverConfig, of
+    which wsb_solve and the linear solves read only lam, tau, max_outer
+    and max_inner.  theta == 0 (the identity system) leaves the shrink
+    level undefined, so it raises ConfigError unless lam == 0.  Returns
+    (U, total inner iterations, outer sweeps).
     """
     if system.theta == 0 and cfg.lam != 0:
         raise ConfigError("theta == 0 requires lam == 0")
-    solve = fwsb_linear_solve if isinstance(system, FwsbSystem) else gauss_seidel_solve
     w, bt = system.w, system.bt
     lvl = cfg.lam / system.theta if system.theta > 0 else 0.0
     u = v
-    e, r = np.zeros((2, 2, *v.shape))
+    e, r, g = np.zeros((3, 2, *v.shape))
     c, step = np.empty((2, *v.shape))
+    fwsb = isinstance(system, FwsbSystem)
+    if fwsb:
+        grad_w(v, w, out=g)
     total_inner = 0
     for outer in range(1, cfg.max_outer + 1):
-        div_w(r[0], r[1], w, out=c)
-        c *= bt
-        c += v
-        x, m = solve(c, u, cfg, system)
+        if fwsb:
+            x, m = fwsb_linear_solve(v, r, u, g, cfg, system)
+        else:
+            div_w(r[0], r[1], w, out=c)
+            c *= bt
+            c += v
+            x, m = gauss_seidel_solve(c, u, cfg, system)
         total_inner += m
-        # z = grad_w(U) + e in r, then e = cut(z) and r = (z - e) - e
-        grad_w(x, w, out=r)
-        r += e
+        # z = grad_w(U) + e in r, then e = cut(z) and r = (z - e) - e; g
+        # keeps grad_w(U) for the next fast-splitting step
+        grad_w(x, w, out=g)
+        np.add(g, e, out=r)
         cut(r, lvl, out=e)
         r -= e
         r -= e

@@ -114,8 +114,10 @@ class SolverConfig:
             raise ConfigError(f"mu_scale must be positive and finite, got {self.mu_scale}")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ConfigError(f"tau must be positive and finite, got {self.tau}")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ConfigError("iteration caps must be at least 1")
+        if self.max_outer < 1:
+            raise ConfigError(f"max_outer must be at least 1, got {self.max_outer}")
+        if self.max_inner < 1:
+            raise ConfigError(f"max_inner must be at least 1, got {self.max_inner}")
 
 
 @dataclass

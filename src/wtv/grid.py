@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-
 __all__ = [
     "WeightField",
     "unit_weights",
@@ -35,7 +33,6 @@ __all__ = [
     "laplacian_inf_norm",
     "weighted_tv",
     "write_grid",
-    "read_grid",
     "write_pgm",
 ]
 
@@ -197,30 +194,6 @@ def write_grid(path, arr: np.ndarray) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IB", n, kind))
         fh.write(payload)
-
-
-def read_grid(path) -> np.ndarray:
-    """Read a grid written by write_grid; validates magic, kind and size."""
-    with open(path, "rb") as fh:
-        head = fh.read(len(_MAGIC))
-        if head != _MAGIC:
-            raise ConfigError(f"{path}: not a grid file (bad magic {head!r})")
-        header = fh.read(5)
-        if len(header) < 5:
-            raise ConfigError(f"{path}: file ends inside the grid header")
-        n, kind = struct.unpack("<IB", header)
-        if kind not in (0, 1):
-            raise ConfigError(f"{path}: unknown payload kind {kind}")
-        dtype = "<f8" if kind == 0 else "<c16"
-        itemsize = 8 if kind == 0 else 16
-        payload = fh.read()
-    if len(payload) != n * n * itemsize:
-        raise ConfigError(
-            f"{path}: payload holds {len(payload)} bytes, expected {n * n * itemsize}"
-        )
-    return np.frombuffer(payload, dtype=dtype).astype(
-        np.float64 if kind == 0 else np.complex128
-    ).reshape(n, n)
 
 
 def write_pgm(path, img: np.ndarray) -> None:

@@ -6,9 +6,12 @@ operators in wtv.grid.  Assembly is gated to n <= 32; beyond that the
 matrices stop being a sensible debugging tool.  grad_w_2d and div_w_2d
 are the weighted difference operators written on the (n, n) image with
 2-D slices, the formulas the flat operators in wtv.grid must reproduce
-bit for bit.  laplacian_w evaluates the five-point stencil directly, and
-objective_backward is the backward subproblem's objective.
+bit for bit.  laplacian_w evaluates the five-point stencil directly,
+objective_backward is the backward subproblem's objective, and read_grid
+reads the binary grid files that wtv.grid.write_grid writes.
 """
+
+import struct
 
 import numpy as np
 
@@ -105,19 +108,50 @@ def objective_backward(
     return lam * weighted_tv(u, w) + quad
 
 
+def read_grid(path) -> np.ndarray:
+    """Read a grid written by wtv.grid.write_grid; validates magic, kind and size.
+
+    The format: 8-byte magic "WTVGRID1", little-endian u32 side length, u8
+    kind (0 = real float64, 1 = complex128 as interleaved re/im float64
+    pairs), then the row-major payload.  A malformed file raises ConfigError.
+    """
+    magic = b"WTVGRID1"
+    with open(path, "rb") as fh:
+        head = fh.read(len(magic))
+        if head != magic:
+            raise ConfigError(f"{path}: not a grid file (bad magic {head!r})")
+        header = fh.read(5)
+        if len(header) < 5:
+            raise ConfigError(f"{path}: file ends inside the grid header")
+        n, kind = struct.unpack("<IB", header)
+        if kind not in (0, 1):
+            raise ConfigError(f"{path}: unknown payload kind {kind}")
+        dtype = "<f8" if kind == 0 else "<c16"
+        itemsize = 8 if kind == 0 else 16
+        payload = fh.read()
+    if len(payload) != n * n * itemsize:
+        raise ConfigError(
+            f"{path}: payload holds {len(payload)} bytes, expected {n * n * itemsize}"
+        )
+    return np.frombuffer(payload, dtype=dtype).astype(
+        np.float64 if kind == 0 else np.complex128
+    ).reshape(n, n)
+
+
 def record_changes(system) -> list:
     """Norms of X_{m+1} - X_m, one per iteration of every later solve on system.
 
-    Wraps the instance's iterates.  For the relaxed fixed-point splitting
-    the change X_{m+1} - X_m equals omega times the residual c - A X_m, so
-    its ratios follow the relaxed step's contraction.
+    Wraps the instance's iterates(v, r, x0, g), the FwsbSystem protocol.
+    For the relaxed fixed-point splitting the change X_{m+1} - X_m equals
+    omega times the residual c - A X_m, with c = v + beta*theta*div_w(r),
+    so its ratios follow the relaxed step's contraction.
     """
     changes = []
     iterates = system.iterates
 
-    def recording_iterates(c, x0):
+    def recording_iterates(v, r, x0, g):
         prev = x0.ravel()
-        for x in iterates(c, x0):
+        for x in iterates(v, r, x0, g):
             changes.append(float(np.linalg.norm(x - prev)))
             prev = x
             yield x

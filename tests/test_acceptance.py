@@ -24,7 +24,7 @@ from wtv.bregman import (
     wsb_solve,
 )
 from wtv.forward_backward import SolverConfig, afb_solve, fista_alpha
-from wtv.grid import WeightField, div_w, unit_weights
+from wtv.grid import WeightField, div_w, grad_w, unit_weights
 from wtv.metrics import psnr
 from wtv.operators import (
     FourierMaskModel,
@@ -65,16 +65,19 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def _random_instance(rng, beta, n=16):
     """One linear-solve instance: weights, theta, right-hand side and start.
 
-    theta is 0.9 times the bound.  The right-hand side is built as the
-    Bregman loop builds it, c = v + beta*theta*div_w(dx - ex, dy - ey),
-    from a random target v and warm auxiliary fields; x0 is random too.
+    theta is 0.9 times the bound.  The right-hand side is the Bregman
+    loop's, v + beta*theta*div_w(r) with r = (dx - ex, dy - ey), from a
+    random target v and warm auxiliary fields; x0 is random too.  It is
+    returned both as its value c, which gauss_seidel_solve takes, and as
+    v with r stacked (2, n, n), which fwsb_linear_solve takes.
     """
     wx = rng.uniform(0.2, 2.0, size=(n, n))
     wy = rng.uniform(0.2, 2.0, size=(n, n))
     w = WeightField(wx, wy)
     v, x0, dx, dy, ex, ey = (rng.normal(size=(n, n)) for _ in range(6))
     theta = 0.9 * theta_bound(w, beta)
-    return w, theta, v + beta * theta * div_w(dx - ex, dy - ey, w), x0
+    r = np.stack((dx - ex, dy - ey))
+    return w, theta, v + beta * theta * div_w(r[0], r[1], w), x0, v, r
 
 
 def test_criterion_01_inner_solvers_match_dense_oracle():
@@ -83,13 +86,16 @@ def test_criterion_01_inner_solvers_match_dense_oracle():
     start = time.perf_counter()
     for _ in range(20):
         beta = 0.5
-        w, theta, c, x0 = _random_instance(rng, beta)
+        w, theta, c, x0, v, r = _random_instance(rng, beta)
         p = SolverConfig(lam=0.1, tau=1e-12, max_inner=2000)
         systems = FwsbSystem(w, beta, theta), GaussSeidelSystem(w, beta, theta)
         exact = direct_solve(c, systems[0])
         ref = np.linalg.norm(exact)
-        for solve, system in zip((fwsb_linear_solve, gauss_seidel_solve), systems):
-            x, _ = solve(c, x0, p, system)
+        solves = (
+            fwsb_linear_solve(v, r, x0, grad_w(x0, w), p, systems[0]),
+            gauss_seidel_solve(c, x0, p, systems[1]),
+        )
+        for x, _ in solves:
             worst = max(worst, float(np.linalg.norm(x - exact)) / ref)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed <= 1.0
@@ -107,7 +113,7 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
     worst_margin = -np.inf
     for _ in range(20):
         beta = 0.5
-        w, theta, c, x0 = _random_instance(rng, beta)
+        w, theta, _, x0, v, r = _random_instance(rng, beta)
         s = beta * theta
         rho = float(
             np.sqrt(
@@ -127,7 +133,7 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
         p = SolverConfig(lam=0.1, tau=1e-13, max_inner=400)
         system = FwsbSystem(w, beta, theta)
         residuals = record_changes(system)
-        fwsb_linear_solve(c, x0, p, system)
+        fwsb_linear_solve(v, r, x0, grad_w(x0, w), p, system)
         ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
         gmean = float(np.exp(np.mean(np.log(ratios))))
         worst_rho = max(worst_rho, rho)

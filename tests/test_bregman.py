@@ -116,27 +116,41 @@ class TestSystemValidation:
 
 
 def _random_system(rng, system):
-    """Right-hand side c and start x0 of a linear solve on system from random fields.
+    """Right-hand side and start x0 of a linear solve on system from random fields.
 
     Draws the start, the auxiliary fields dx, dy, the Bregman fields ex, ey
-    and then v, and builds c = v + beta*theta*div_w(dx - ex, dy - ey) as
-    wsb_solve does, with the system's w and beta*theta.  Returns
-    (c, x0, v, rx, ry) with r = d - e.
+    and then v.  The right-hand side v + beta*theta*div_w(r), r = d - e,
+    is handed to fwsb_linear_solve as v and r stacked (2, n, n); c is its
+    value, as wsb_solve builds it for gauss_seidel_solve, with the system's
+    w and beta*theta.  Returns (c, x0, v, r).
     """
     w = system.w
     x0, dx, dy, ex, ey, v = (rng.normal(size=(w.n, w.n)) for _ in range(6))
-    rx, ry = dx - ex, dy - ey
-    return v + system.bt * div_w(rx, ry, w), x0, v, rx, ry
+    r = np.stack((dx - ex, dy - ey))
+    return v + system.bt * div_w(r[0], r[1], w), x0, v, r
 
 
-def _reference_fwsb(v, rx, ry, x0, system, p, omega):
+def _solve_fwsb(instance, p, system):
+    """fwsb_linear_solve on an instance of _random_system, handed grad_w(x0)."""
+    _, x0, v, r = instance
+    return fwsb_linear_solve(v, r, x0, grad_w(x0, system.w), p, system)
+
+
+def _solve_gauss_seidel(instance, p, system):
+    """gauss_seidel_solve on an instance of _random_system."""
+    c, x0, *_ = instance
+    return gauss_seidel_solve(c, x0, p, system)
+
+
+def _reference_fwsb(v, r, x0, system, p, omega):
     """The fixed-point iteration relaxed by omega, through grad_w and div_w.
 
     X <- X + omega*(v + beta*theta*div_w(r - grad_w X) - X) with the
-    system's w and beta*theta, and the solver's stopping rule; omega = 1
-    is the paper's unit step.
+    system's w and beta*theta, r a pair of difference fields, and the
+    solver's stopping rule; omega = 1 is the paper's unit step.
     """
     w, bt = system.w, system.bt
+    rx, ry = r
     x = x0.copy()
     for m in range(1, p.max_inner + 1):
         gx, gy = grad_w(x, w)
@@ -170,14 +184,15 @@ def _reference_gauss_seidel(b, x0, system, p):
 
 
 def _reference_wsb(v, system, p, linear_solve):
-    """The split-Bregman loop written out with soft and cut around linear_solve(c, x0),
-    on system's w, theta and beta*theta."""
-    w, bt, lvl = system.w, system.bt, p.lam / system.theta
+    """The split-Bregman loop written out with soft and cut around
+    linear_solve(v, r, x0), which solves for v + beta*theta*div_w(r) with
+    r = (dx - ex, dy - ey), on system's w, theta and beta*theta."""
+    w, lvl = system.w, p.lam / system.theta
     u = v.copy()
     dx = dy = ex = ey = np.zeros_like(v)
     total = 0
     for sweep in range(1, p.max_outer + 1):
-        x, m = linear_solve(v + bt * div_w(dx - ex, dy - ey, w), u)
+        x, m = linear_solve(v, (dx - ex, dy - ey), u)
         total += m
         gx, gy = grad_w(x, w)
         dx, dy, ex, ey = (
@@ -191,7 +206,7 @@ def _reference_wsb(v, system, p, linear_solve):
 
 
 # (prepared system, linear solver) of each inner solver
-SOLVERS = [(FwsbSystem, fwsb_linear_solve), (GaussSeidelSystem, gauss_seidel_solve)]
+SOLVERS = [(FwsbSystem, _solve_fwsb), (GaussSeidelSystem, _solve_gauss_seidel)]
 SOLVER_IDS = ["fwsb", "gauss_seidel"]
 
 
@@ -201,7 +216,8 @@ class TestInnerSolvers:
         w = random_weights(8)
         v = rng.normal(size=(8, 8))
         p = SolverConfig(lam=0.1, tau=1e-13, max_inner=50)
-        x, m = fwsb_linear_solve(v, v, p, FwsbSystem(w, 1e-3, 1e-12))
+        r = np.zeros((2, 8, 8))
+        x, m = fwsb_linear_solve(v, r, v, grad_w(v, w), p, FwsbSystem(w, 1e-3, 1e-12))
         assert np.allclose(x, v, atol=1e-10)
 
     @pytest.mark.parametrize("system_type, linear_solve", SOLVERS, ids=SOLVER_IDS)
@@ -211,9 +227,9 @@ class TestInnerSolvers:
         theta = 0.9 * theta_bound(w, beta)
         p = SolverConfig(lam=0.1, tau=1e-12, max_inner=500)
         system = system_type(w, beta, theta)
-        c, x0, *_ = _random_system(rng, system)
-        ref = direct_solve(c, system)
-        x, m = linear_solve(c, x0, p, system)
+        instance = _random_system(rng, system)
+        ref = direct_solve(instance[0], system)
+        x, m = linear_solve(instance, p, system)
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
         assert 0 < m <= 500
 
@@ -223,9 +239,9 @@ class TestInnerSolvers:
         theta = 0.5 * theta_bound(w, beta)
         p = SolverConfig(lam=0.2, tau=1e-11, max_inner=500)
         system = FwsbSystem(w, beta, theta)
-        c, x0, *_ = _random_system(rng, system)
-        xf, _ = fwsb_linear_solve(c, x0, p, system)
-        xg, _ = gauss_seidel_solve(c, x0, p, GaussSeidelSystem(w, beta, theta))
+        instance = _random_system(rng, system)
+        xf, _ = _solve_fwsb(instance, p, system)
+        xg, _ = _solve_gauss_seidel(instance, p, GaussSeidelSystem(w, beta, theta))
         assert np.allclose(xf, xg, atol=1e-8)
 
     def test_fwsb_refuses_theta_out_of_bound(self, random_weights):
@@ -238,19 +254,20 @@ class TestInnerSolvers:
     @pytest.mark.parametrize("n", [5, 16, 47])
     @pytest.mark.parametrize("tau, max_inner", [(1e-8, 500), (1e-14, 3)])
     def test_fwsb_matches_reference_loop(self, rng, random_weights, n, tau, max_inner):
-        # the precomputed stencil reassociates the update, so iterates agree
-        # to rounding and the iteration count exactly
+        # the step applies grad_w and div_w in the reference's order, so
+        # iterate and count agree bit for bit
         w = random_weights(n)
         beta = 0.9
         theta = 0.9 * theta_bound(w, beta)
         p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
         system = FwsbSystem(w, beta, theta)
-        c, x0, v, rx, ry = _random_system(rng, system)
-        x, m = fwsb_linear_solve(c, x0, p, system)
-        x_ref, m_ref = _reference_fwsb(v, rx, ry, x0, system, p, 2 / (2 + 0.9))
+        instance = _random_system(rng, system)
+        _, x0, v, r = instance
+        x, m = _solve_fwsb(instance, p, system)
+        x_ref, m_ref = _reference_fwsb(v, r, x0, system, p, system.omega)
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
-        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
 
     def test_fwsb_residual_contraction(self, rng, random_weights):
         # residual ratios stay at or below the relaxed step's spectral
@@ -274,9 +291,9 @@ class TestInnerSolvers:
 
         p = SolverConfig(lam=0.1, tau=1e-13, max_inner=200)
         system = FwsbSystem(w, beta, theta)
-        c, x0, *_ = _random_system(rng, system)
+        instance = _random_system(rng, system)
         residuals = record_changes(system)
-        fwsb_linear_solve(c, x0, p, system)
+        _solve_fwsb(instance, p, system)
         ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
         # geometric-mean contraction factor against the bound
         gmean = float(np.exp(np.mean(np.log(ratios))))
@@ -349,9 +366,9 @@ class TestInnerSolvers:
         p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
         shared = system_type(w, beta, theta)
         for _ in range(3):
-            c, x0, *_ = _random_system(rng, shared)
-            x, m = linear_solve(c, x0, p, shared)
-            x_new, m_new = linear_solve(c, x0, p, system_type(w, beta, theta))
+            instance = _random_system(rng, shared)
+            x, m = linear_solve(instance, p, shared)
+            x_new, m_new = linear_solve(instance, p, system_type(w, beta, theta))
             assert m == m_new
             assert np.array_equal(x.view(np.int64), x_new.view(np.int64))
 
@@ -368,9 +385,9 @@ class TestInnerSolvers:
         theta = 0.9 * theta_bound(w, beta)
         p = SolverConfig(lam=0.1, tau=1e-10, max_inner=300)
         system = FwsbSystem(w, beta, theta)
-        c, x0, *_ = _random_system(rng, system)
-        x1, m1 = fwsb_linear_solve(c, x0, p, system)
-        x2, m2 = fwsb_linear_solve(c, x1, p, system)
+        _, x0, v, r = _random_system(rng, system)
+        x1, m1 = fwsb_linear_solve(v, r, x0, grad_w(x0, w), p, system)
+        x2, m2 = fwsb_linear_solve(v, r, x1, grad_w(x1, w), p, system)
         assert m2 <= 2
         assert np.allclose(x2, x1, atol=1e-8)
 
@@ -432,8 +449,10 @@ class TestWsbSolve:
     def test_loop_bitwise_equals_reference(
         self, rng, random_weights, tau, max_outer, system_type
     ):
-        # pins the loop's bookkeeping: which fields enter the right-hand
-        # side, in which order, and what each sweep and solve counts.  At
+        # pins the loop's bookkeeping against a reference loop that shares
+        # no code with it: which fields enter the right-hand side, in which
+        # order, and what each sweep and solve counts.  The fast-splitting
+        # step's grad_w of the start is the one the previous shrink took.  At
         # this lam about a third of the differences end above the shrink
         # level, so both sides of cut run and r = (z - e) - e must keep its
         # rounding: z - 2*e differs in the last bit there and fails
@@ -445,8 +464,10 @@ class TestWsbSolve:
         system = system_type(w, beta, theta)
         u, total_inner, sweeps = wsb_solve(v, p, system)
         linear_solve = {
-            GaussSeidelSystem: lambda c, x0: _reference_gauss_seidel(c, x0, system, p),
-            FwsbSystem: lambda c, x0: fwsb_linear_solve(c, x0, p, system),
+            GaussSeidelSystem: lambda v, r, x0: _reference_gauss_seidel(
+                v + system.bt * div_w(*r, w), x0, system, p
+            ),
+            FwsbSystem: lambda v, r, x0: _reference_fwsb(v, r, x0, system, p, system.omega),
         }[system_type]
         u_ref, total_ref, sweeps_ref = _reference_wsb(v, system, p, linear_solve)
         assert (sweeps == max_outer) == (max_outer == 4)

@@ -20,8 +20,8 @@ from wtv.cli import (
 )
 from wtv.errors import ConfigError, DivergenceError
 from wtv.forward_backward import SolverConfig
-from wtv.grid import read_grid
 
+from oracles import read_grid
 from test_acceptance import CRITERION_7_SOLVER, CRITERION_8_SOLVER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -400,7 +400,8 @@ class TestMain:
         "bad, named",
         [
             ({"tau": -1}, "tau"),
-            ({"max_inner": 0}, "iteration caps"),
+            ({"max_inner": 0}, "max_inner"),
+            ({"max_outer": 0}, "max_outer"),
             ({"problem": "cs_mri", "mask_lines": 0}, "line"),
             ({"blur_sigma": -1}, "sigma"),
             ({"blur_size": 4}, "kernel size"),
@@ -423,7 +424,7 @@ class TestMain:
             ({"beta": 1e-320}, "beta"),
         ],
         ids=[
-            "tau", "max_inner", "mask_lines", "blur_sigma", "blur_size", "noise", "seed",
+            "tau", "max_inner", "max_outer", "mask_lines", "blur_sigma", "blur_size", "noise", "seed",
             "beta", "mu_scale_inf", "mu_scale_overflow", "a_inf", "epsilon_inf", "tau_inf",
             "blur_sigma_inf", "r0_inf", "blur_sigma_underflow", "blur_sigma_underflow_uniform",
             "a_overflow", "beta_subnormal",

@@ -11,6 +11,7 @@ from oracles import (
     grad_w_2d,
     laplacian_matrix,
     laplacian_w,
+    read_grid,
     system_matrix,
 )
 from wtv.errors import ConfigError
@@ -19,7 +20,6 @@ from wtv.grid import (
     div_w,
     grad_w,
     laplacian_inf_norm,
-    read_grid,
     unit_weights,
     weighted_tv,
     write_grid,
