@@ -5,7 +5,8 @@ gradient step on the data term with the split-Bregman proximal solve of the
 weighted-TV term, plus momentum extrapolation on a t-sequence
 t_n = (n + a + 1)/a, restarted by a gradient test under fixed weights.
 The gradient step size beta must stay below 1/lambda_max(A^T A),
-validated by power iteration at entry.
+validated at entry against the largest Gram multiplier of the forward
+model, which is exact.
 """
 
 from __future__ import annotations
@@ -155,10 +156,15 @@ class RunTrace:
 
 
 def forward_step(
-    u: np.ndarray, model: ForwardModel, z: np.ndarray, beta: float
+    u: np.ndarray, model: ForwardModel, atz: np.ndarray, beta: float
 ) -> np.ndarray:
-    """Explicit gradient step u + beta * adjoint(z - apply(u))."""
-    return u + beta * model.adjoint(z - model.apply(u))
+    """Explicit gradient step u + beta * adjoint(z - apply(u)), atz = adjoint(z).
+
+    The normal operator adjoint(apply(u)) is applied as the model's Gram
+    multiplier, one real FFT pair.
+    """
+    normal = np.fft.irfft2(model.gram * np.fft.rfft2(u), s=u.shape)
+    return u + beta * (atz - normal)
 
 
 def fista_alpha(n: int, a: float) -> float:
@@ -225,13 +231,15 @@ def afb_solve(
     256x256 deblur runs measured the restart fired once, on the step where
     the run then stopped, so it cut the momentum's overshoot tail and left
     every earlier iterate as it was.  A non-finite iterate raises
-    DivergenceError naming the iteration; an r0 whose lam overflows raises
-    ConfigError before the first step.  When lam is unset it is resolved
+    DivergenceError naming the iteration; a beta at or above
+    1/lambda_max(A^T A), or an r0 whose lam overflows, raises ConfigError
+    before the first step.  When lam is unset it is resolved
     from r0 once, into a copy of cfg that every backward step then reads.
     """
     if z.shape != model.data_shape:
         raise ConfigError(f"data shape {z.shape} != model {model.data_shape}")
     lam_max = power_method(model)
+    # a model that measures nothing (lam_max = 0) admits any beta
     if lam_max > 0 and not cfg.beta * lam_max < 1.0:
         raise ConfigError(
             f"beta={cfg.beta:.6g} must stay below 1/lambda_max = {1.0 / lam_max:.6g}"
@@ -239,7 +247,7 @@ def afb_solve(
 
     sw = Stopwatch()
     with sw.scope():
-        u = model.adjoint(z)
+        atz = u = model.adjoint(z)
         if cfg.lam is None:
             norm = float(np.abs(u).sum())
             lam = cfg.r0 * norm
@@ -277,7 +285,7 @@ def afb_solve(
             if cfg.weight_mode == "adaptive" and it > 1:
                 w, mu = _build_weights(u, cfg, mu)
                 system = _build_system(w, cfg)
-            v = forward_step(u, model, z, cfg.beta)
+            v = forward_step(u, model, atz, cfg.beta)
             u_tilde, m_inner, sweeps = wsb_solve(v, cfg, system)
             step = u_tilde - u_tilde_prev
             k += 1

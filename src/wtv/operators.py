@@ -2,8 +2,11 @@
 
 Both models expose apply/adjoint pairs that are exact adjoints under the
 standard inner products (real on the image side, complex on Fourier data,
-paired through the real part).  Step-size bounds for gradient descent come
-from a deterministic power iteration on adjoint(apply(.)).
+paired through the real part).  The normal operator adjoint(apply(.)) of
+either is diagonal in the DFT basis (Wang, Yang, Yin & Zhang, SIAM J.
+Imaging Sci. 2008), so each model carries its Gram multiplier on the
+rfft2 half-plane, and the step-size bound of gradient descent is that
+multiplier's largest entry, exactly.
 """
 
 from __future__ import annotations
@@ -22,14 +25,20 @@ __all__ = [
     "gaussian_kernel",
     "radial_mask",
     "power_method",
-    "estimate_spectral_norm",
 ]
 
 
 class ForwardModel(ABC):
-    """Linear measurement operator on (n, n) real images."""
+    """Linear measurement operator on (n, n) real images.
+
+    gram is the real (n, n//2 + 1) multiplier on the rfft2 half-plane
+    through which the normal operator acts: adjoint(apply(u)) equals
+    irfft2(gram * rfft2(u), s=u.shape) up to rounding.  Its entries are
+    the eigenvalues of adjoint(apply(.)).
+    """
 
     n: int
+    gram: np.ndarray
 
     @abstractmethod
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -54,16 +63,17 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 
     Matches the classic 'fspecial' construction: exp(-(x^2+y^2)/(2 sigma^2))
     evaluated at integer offsets from the centre, then divided by the total.
-    Size must be odd so the kernel has a centre sample.
+    Size must be odd so the kernel has a centre sample.  The messages of
+    a rejected size or sigma name the config keys blur_size and blur_sigma.
     """
     if size % 2 == 0 or size < 1:
-        raise ConfigError(f"kernel size must be odd and positive, got {size}")
+        raise ConfigError(f"blur_size must be odd and positive, got {size}")
     if not (np.isfinite(sigma) and sigma > 0):
-        raise ConfigError(f"sigma must be positive and finite, got {sigma}")
+        raise ConfigError(f"blur_sigma must be positive and finite, got {sigma}")
     if not 2.0 * sigma * sigma > 0:
         # the centre sample would be 0/0
-        raise ConfigError(f"sigma={sigma!r} is too small: 2*sigma^2 underflows to 0, "
-                          "so the kernel is not finite")
+        raise ConfigError(f"blur_sigma={sigma!r} is too small: 2*sigma^2 underflows "
+                          "to 0, so the kernel is not finite")
     ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     xx, yy = np.meshgrid(ax, ax, indexing="ij")
     # a subnormal 2*sigma^2 sends the off-centre exponents to -inf, whose
@@ -74,27 +84,29 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
 
 
 class GaussianBlurModel(ForwardModel):
-    """Circular convolution with a sampled Gaussian kernel, via FFT.
+    """Circular convolution with a sampled Gaussian kernel, via real FFT.
 
     The kernel is symmetric, so its transfer function is real and the model
-    is self-adjoint; the stored transfer drops the O(eps) imaginary FFT
-    residue, making apply and adjoint literally the same computation.
+    is self-adjoint; the stored transfer holds the rfft2 half-plane and
+    drops the O(eps) imaginary FFT residue, making apply and adjoint
+    literally the same computation.  gram is the transfer squared.
     """
 
     def __init__(self, n: int, sigma: float, size: int):
         if n < size:
-            raise ConfigError(f"grid side {n} smaller than kernel size {size}")
+            raise ConfigError(f"grid side {n} smaller than blur_size {size}")
         self.n = n
         self.kernel = gaussian_kernel(size, sigma)
         embedded = np.zeros((n, n))
         embedded[:size, :size] = self.kernel
         half = (size - 1) // 2
         embedded = np.roll(embedded, (-half, -half), axis=(0, 1))
-        self.transfer = np.fft.fft2(embedded).real
+        self.transfer = np.fft.rfft2(embedded).real
+        self.gram = self.transfer * self.transfer
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         self._check_image(u)
-        return np.fft.ifft2(np.fft.fft2(u) * self.transfer).real
+        return np.fft.irfft2(np.fft.rfft2(u) * self.transfer, s=u.shape)
 
     adjoint = apply
 
@@ -104,7 +116,10 @@ class FourierMaskModel(ForwardModel):
 
     apply returns the full (n, n) complex spectrum with unsampled entries
     zeroed; adjoint re-masks, inverts with the same unitary normalisation
-    and takes the real part.
+    and takes the real part.  Taking the real part averages the mask with
+    its point reflection, so gram is (M(k) + M(-k))/2 on the rfft2
+    half-plane; for a point-symmetric mask, such as radial_mask's, that is
+    the mask itself.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -114,6 +129,9 @@ class FourierMaskModel(ForwardModel):
         self.mask = np.asarray(mask, dtype=np.float64)
         if not np.all((self.mask == 0.0) | (self.mask == 1.0)):
             raise ConfigError("mask entries must be 0 or 1")
+        # M(-k): index negation mod n
+        reflected = np.roll(self.mask[::-1, ::-1], (1, 1), axis=(0, 1))
+        self.gram = 0.5 * (self.mask + reflected)[:, : self.n // 2 + 1]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         self._check_image(u)
@@ -133,12 +151,13 @@ def radial_mask(n: int, lines: int):
     both straddled cells rather than one per major-axis step).  Samples are
     marked in point-reflected pairs about the centre, the DC sample is
     forced on, and the result is shifted to the unshifted FFT layout where
-    DC sits at [0, 0].  Returns (mask, sampling percentage).
+    DC sits at [0, 0].  Returns (mask, sampling percentage).  A rejected
+    line count is named by its config key, mask_lines.
     """
     if n < 16:
         raise ConfigError(f"mask side must be at least 16, got {n}")
     if lines < 1:
-        raise ConfigError(f"need at least one line, got {lines}")
+        raise ConfigError(f"mask_lines must be at least 1, got {lines}")
     c = n // 2
     shifted = np.zeros((n, n))
 
@@ -166,31 +185,10 @@ def radial_mask(n: int, lines: int):
     return mask, float(100.0 * mask.sum() / mask.size)
 
 
-def estimate_spectral_norm(op, n: int, tol: float = 1e-8, max_iter: int = 5000) -> float:
-    """Largest eigenvalue of a symmetric PSD operator by power iteration.
+def power_method(model: ForwardModel) -> float:
+    """Largest eigenvalue of adjoint(apply(.)): the largest Gram multiplier.
 
-    op maps (n, n) arrays to (n, n) arrays.  Starts from the normalised
-    all-ones image (deterministic) and stops when the Rayleigh quotient's
-    relative change drops below tol.  Estimates approach the true value
-    from below.
+    Exact, since the Gram multipliers are the normal operator's
+    eigenvalues.  The name predates that: perfbench/tracer.py hooks it.
     """
-    x = np.full((n, n), 1.0 / n)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = op(x)
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0
-        lam_new = float(np.vdot(x, y).real)
-        x = y / norm
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
-def power_method(model: ForwardModel, tol: float = 1e-8, max_iter: int = 5000) -> float:
-    """Largest eigenvalue of adjoint(apply(.)) for a forward model."""
-    return estimate_spectral_norm(
-        lambda x: model.adjoint(model.apply(x)), model.n, tol, max_iter
-    )
+    return float(np.max(model.gram))

@@ -7,8 +7,9 @@ matrices stop being a sensible debugging tool.  grad_w_2d and div_w_2d
 are the weighted difference operators written on the (n, n) image with
 2-D slices, the formulas the flat operators in wtv.grid must reproduce
 bit for bit.  laplacian_w evaluates the five-point stencil directly,
-objective_backward is the backward subproblem's objective, and read_grid
-reads the binary grid files that wtv.grid.write_grid writes.
+objective_backward is the backward subproblem's objective, normal_matrix
+assembles a forward model's normal operator, and read_grid reads the
+binary grid files that wtv.grid.write_grid writes.
 """
 
 import struct
@@ -66,6 +67,18 @@ def direct_solve(c: np.ndarray, system) -> np.ndarray:
     lap = laplacian_matrix(system.w)
     a = np.eye(lap.shape[0]) - system.bt * lap
     return np.linalg.solve(a, c.ravel()).reshape(c.shape)
+
+
+def normal_matrix(model) -> np.ndarray:
+    """Dense adjoint(apply(.)) of a forward model, one column per pixel."""
+    n = model.n
+    _check_gate(n)
+    out = np.zeros((n * n, n * n))
+    for k in range(n * n):
+        e = np.zeros(n * n)
+        e[k] = 1.0
+        out[:, k] = model.adjoint(model.apply(e.reshape(n, n))).ravel()
+    return out
 
 
 def grad_w_2d(u: np.ndarray, w: WeightField) -> np.ndarray:

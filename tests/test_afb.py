@@ -37,13 +37,13 @@ class TestForwardStep:
         model = GaussianBlurModel(16, sigma=1.0, size=5)
         u = rng.normal(size=(16, 16))
         z = model.apply(u)
-        assert np.allclose(forward_step(u, model, z, 0.9), u, atol=1e-13)
+        assert np.allclose(forward_step(u, model, model.adjoint(z), 0.9), u, atol=1e-13)
 
     def test_beta_zero_identity(self, rng):
         model = GaussianBlurModel(16, sigma=1.0, size=5)
         u = rng.normal(size=(16, 16))
         z = model.apply(u) + 0.1
-        assert np.array_equal(forward_step(u, model, z, 0.0), u)
+        assert np.array_equal(forward_step(u, model, model.adjoint(z), 0.0), u)
 
     def test_quadratic_descent(self, rng):
         # a gradient step with admissible beta never increases the data term
@@ -52,7 +52,7 @@ class TestForwardStep:
             u = rng.normal(size=(16, 16))
             z = model.apply(rng.normal(size=(16, 16)))
             before = 0.5 * np.sum((model.apply(u) - z) ** 2)
-            u2 = forward_step(u, model, z, 0.9)
+            u2 = forward_step(u, model, model.adjoint(z), 0.9)
             after = 0.5 * np.sum((model.apply(u2) - z) ** 2)
             assert after <= before + 1e-12
 
@@ -202,6 +202,24 @@ class TestAfbSolve:
         with pytest.raises(ConfigError):
             afb_solve(model, z, SolverConfig(lam=1e-3, beta=1.5))
 
+    def test_beta_bound_enforced_without_dc_sample(self, monkeypatch):
+        # the constant image is the normal operator's DC eigenvector; with
+        # DC unsampled its eigenvalue is 0, while every other sampled
+        # frequency still has eigenvalue 1.  Bounded by the DC eigenvalue,
+        # beta = 1.9 was accepted and |u| reached 2.85e6 in 30 steps
+        truth, _, _ = small_cs_problem()
+        mask, _ = radial_mask(32, 8)
+        mask[0, 0] = 0.0
+        model = FourierMaskModel(mask)
+        z = model.apply(truth)
+
+        def no_step(*args):
+            raise AssertionError("forward step taken")
+
+        monkeypatch.setattr(wtv.forward_backward, "forward_step", no_step)
+        with pytest.raises(ConfigError, match="beta"):
+            afb_solve(model, z, SolverConfig(lam=1e-3, beta=1.9, max_fb=30))
+
     def test_data_shape_checked(self):
         truth, model, z = small_cs_problem()
         with pytest.raises(ValueError):
@@ -229,9 +247,9 @@ class TestAfbSolve:
 
         w = unit_weights(truth.shape[0])
         system = FwsbSystem(w, cfg.beta, THETA_SAFETY * theta_bound(w, cfg.beta))
-        u = model.adjoint(z)
+        u = atz = model.adjoint(z)
         for _ in range(6):
-            v = forward_step(u, model, z, cfg.beta)
+            v = forward_step(u, model, atz, cfg.beta)
             u, _, _ = wsb_solve(v, cfg, system)
         assert np.array_equal(u_solver, u)
 
@@ -249,12 +267,12 @@ class TestAfbSolve:
                            epsilon=1e-12, max_fb=45)
         u_solver, trace = afb_solve(model, z, cfg)
 
-        u = model.adjoint(z)
+        u = atz = model.adjoint(z)
         w = compute_weights(u, LogExpParams(cfg.mu_scale * default_mu(u)))
         system = FwsbSystem(w, cfg.beta, THETA_SAFETY * theta_bound(w, cfg.beta))
         u_tilde_prev, k, alphas, sweeps = u, 0, [0.0], [0]
         for _ in range(cfg.max_fb):
-            v = forward_step(u, model, z, cfg.beta)
+            v = forward_step(u, model, atz, cfg.beta)
             u_tilde, _, m = wsb_solve(v, cfg, system)
             k += 1
             if np.vdot(u - u_tilde, u_tilde - u_tilde_prev) > 0:
@@ -289,29 +307,36 @@ class TestAfbSolve:
 
     def test_divergence_reported_with_iteration(self):
         class _Explodes(ForwardModel):
+            # the identity, whose Gram multiplier turns NaN after a few reads
             def __init__(self, n):
                 self.n = n
-                self.calls = 0
+                self.reads = 0
+
+            @property
+            def gram(self):
+                self.reads += 1
+                out = np.ones((self.n, self.n // 2 + 1))
+                if self.reads > 3:
+                    out[0, 0] = np.nan
+                return out
 
             def apply(self, u):
                 return u.copy()
 
             def adjoint(self, data):
-                self.calls += 1
-                out = data.copy()
-                if self.calls > 3:
-                    out[0, 0] = np.nan
-                return out
+                return data.copy()
 
             @property
             def data_shape(self):
                 return (self.n, self.n)
 
         model = _Explodes(16)
-        z = np.ones((16, 16))
+        # not a fixed point, so the run lasts until the NaN arrives: read 1
+        # is the step-size bound, read k + 1 the forward step of FB step k
+        z = np.random.default_rng(0).normal(size=(16, 16))
         with pytest.raises(DivergenceError) as info:
             afb_solve(model, z, SolverConfig(lam=1e-3, weight_mode="uniform", max_fb=50))
-        assert info.value.iteration >= 1
+        assert info.value.iteration == 3
 
     def test_deterministic_traces(self):
         truth, model, z = small_cs_problem()
@@ -338,15 +363,16 @@ class TestAfbSolve:
 
 
 class TestModuleGlobalLookup:
-    """afb_solve and wsb_solve reach the inner solvers, GaussSeidelSystem
-    and the sweep's operators grad_w, div_w and cut through their
-    module-global names, so a wrapper bound to a name (the benchmark
-    tracer's, say) sees every call."""
+    """afb_solve and wsb_solve reach forward_step, power_method, the inner
+    solvers, GaussSeidelSystem and the sweep's operators grad_w, div_w and
+    cut through their module-global names, so a wrapper bound to a name
+    (the benchmark tracer's, say) sees every call."""
 
     @pytest.mark.parametrize("inner", INNER_SOLVERS)
     def test_wrappers_see_every_call(self, monkeypatch, inner):
         counts = {"iters": 0, "gs_builds": 0, "weight_updates": 0, "sweeps": 0,
-                  "grad_w": 0, "div_w": 0, "cut": 0}
+                  "grad_w": 0, "div_w": 0, "cut": 0, "forward_step": 0,
+                  "power_method": 0}
         # the SolverConfig arguments of each linear-solve (wsb_solve) call:
         # the tracer reads max_inner_hits (max_outer_hits) from that argument
         configs = {"iters": [], "sweeps": []}
@@ -369,6 +395,8 @@ class TestModuleGlobalLookup:
         wrap(wtv.forward_backward, "GaussSeidelSystem", "gs_builds")
         wrap(wtv.forward_backward, "compute_weights", "weight_updates")
         wrap(wtv.forward_backward, "wsb_solve", "sweeps", amount=lambda out: out[2])
+        for name in ("forward_step", "power_method"):
+            wrap(wtv.forward_backward, name, name)
         for name in ("grad_w", "div_w", "cut"):
             wrap(wtv.bregman, name, name)
 
@@ -378,6 +406,9 @@ class TestModuleGlobalLookup:
         )
         _, trace = afb_solve(model, z, cfg)
         assert counts["iters"] == sum(trace.inner_iters) > 0
+        # one forward step per FB step, one step-size bound per run
+        assert counts["forward_step"] == len(trace) - 1
+        assert counts["power_method"] == 1
         assert len(configs["iters"]) == counts["sweeps"]
         assert len(configs["sweeps"]) == len(trace) - 1
         # every call gets one SolverConfig: the run's, with lam resolved

@@ -364,8 +364,8 @@ class TestMain:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sweep_divergence_exits_three(self, tmp_path, monkeypatch, capsys):
-        # an operator norm of 0 skips the step-size check, as for an
-        # unnormalised operator, so an overlarge beta blows the iterate up
+        # a step-size bound of 0, that of a model that measures nothing,
+        # skips the check, so an overlarge beta blows the iterate up
         monkeypatch.setattr("wtv.forward_backward.power_method", lambda model: 0.0)
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(tiny_config_text(tmp_path / "out", beta=1e200))
@@ -402,9 +402,9 @@ class TestMain:
             ({"tau": -1}, "tau"),
             ({"max_inner": 0}, "max_inner"),
             ({"max_outer": 0}, "max_outer"),
-            ({"problem": "cs_mri", "mask_lines": 0}, "line"),
-            ({"blur_sigma": -1}, "sigma"),
-            ({"blur_size": 4}, "kernel size"),
+            ({"problem": "cs_mri", "mask_lines": 0}, "mask_lines"),
+            ({"blur_sigma": -1}, "blur_sigma"),
+            ({"blur_size": 4}, "blur_size"),
             ({"noise_variance": "nan"}, "noise_variance"),
             ({"seed": -1}, "seed"),
             ({"beta": 1.5}, "beta"),
@@ -414,11 +414,11 @@ class TestMain:
             ({"a": "inf"}, "a must"),
             ({"epsilon": "inf"}, "epsilon"),
             ({"tau": "inf"}, "tau"),
-            ({"blur_sigma": "inf"}, "sigma"),
+            ({"blur_sigma": "inf"}, "blur_sigma"),
             ({"r0": "inf"}, "r0"),
             # 2*sigma^2 underflows to 0, so the kernel's centre sample is 0/0
-            ({"blur_sigma": 1e-170}, "sigma"),
-            ({"blur_sigma": 1e-170, "weight_mode": "uniform"}, "sigma"),
+            ({"blur_sigma": 1e-170}, "blur_sigma"),
+            ({"blur_sigma": 1e-170, "weight_mode": "uniform"}, "blur_sigma"),
             ({"a": 1e-310}, "a="),  # t_n = (n + a + 1)/a overflows
             # 1/(beta*||Lap_w||_inf), the bound on theta, overflows
             ({"beta": 1e-320}, "beta"),
