@@ -7,64 +7,76 @@ The subproblem is
 handled by splitting the weighted differences into auxiliary fields with
 Bregman variables.  Each outer sweep takes a linear solve of
 
-    (I - beta*theta*Lap_w) U = v + beta*theta*div_w(d - e),  Lap_w = -div_w(grad_w(.)),
+    (I - beta*theta*Lap_w) X = v + beta*theta*div_w(r),  Lap_w = -div_w(grad_w(.)),
 
-then shrinks.  wsb_solve carries the two fields of that right-hand side,
-each stacked as one (2, n, n) array: the Bregman field e and the
-residual r = d - e of the auxiliary field d.  Since d = soft(z) =
-z - cut(z), one cut per sweep updates both, and d itself is never
-formed.  The fields, grad_w(U) and the step U_new - U live in buffers
-allocated once per call, which grad_w and cut fill through their out=
-arguments.  Each linear solve runs on a prepared system, built once per
-weight field, that holds the weights w, theta and beta*theta.  Both
-kinds of system offer one method, iterates: an endless generator of the
-flattened iterate after each step from x0.  The loop's own settings,
-lam, tau and the iteration caps, are fields of the run's
-forward_backward.SolverConfig, the one settings object of a solve; this
-module reads no other field of it.  Two interchangeable linear solvers
-are provided:
+for the residual r = d - e of the auxiliary field d and the Bregman field
+e, then shrinks.  wsb_solve carries neither r nor d.  It carries U, e and
+h = r - grad_w(U), each difference field stacked as one (2, n, n) array.
+Since d = soft(z) = z - cut(z) for z = grad_w(U) + e_prev, the shrink's
+e = cut(z) gives h = e_prev - 2e: grad_w(U) enters only through cut.  The
+two fields live in two buffers allocated once per call and updated in
+place: grad_w writes z into h's buffer, cut turns it into the new e there,
+two subtractions turn the old e's buffer into the new h, and the names
+swap.
+
+A linear solve takes (v, h, U).  Since (I - beta*theta*Lap_w) U =
+U + beta*theta*div_w(grad_w(U)), the change delta = X - U solves the same
+system with the right-hand side b = (v - U) + beta*theta*div_w(h), and
+both linear solvers solve for it from delta = 0 (the correction form).
+Each prepared system, built once per weight field, holds the weights w,
+theta and beta*theta, forms every right-hand side it needs by one
+method, _change_rhs(v, h, U) = (v - U) + beta*theta*div_w(h), and offers
+one method to the solvers, iterates(v, h, U): an endless generator of
+the flattened iterate U + delta after each step.
+The loop's own settings, lam, tau and the iteration caps, are fields of
+the run's forward_backward.SolverConfig, the one settings object of a
+solve; this module reads no other field of it.  Two interchangeable
+linear solvers are provided:
 
 * fwsb_linear_solve: relaxed fixed-point iteration
-  X <- X + omega*(v + beta*theta*div_w(r - grad_w X) - X) from the
-  identity splitting of the system matrix, written with the sweep's own
-  two operators; no stencil is kept.  omega is Richardson's optimal
-  relaxation for the Gershgorin interval [1, 1 + theta/bound] of the
-  system matrix, 2/(2 + theta/bound) with bound = theta_bound(w, beta):
-  it shrinks the largest error factor per step from theta/bound (the unit
-  step's slowest mode, which flips sign every step) to
-  (theta/bound)/(2 + theta/bound), so a solve cut off after any number of
-  steps, one included, hands the Bregman loop no wrong-signed error to
-  feed back.  A solve starts from U with grad_w(U) handed in: the
-  previous sweep's shrink has computed it (grad_w(v) once per call for
-  the first sweep), so at one step per sweep a sweep runs one div_w, one
-  grad_w and one cut and forms no right-hand side.  That is the
-  linearised Bregman, or split inexact Uzawa, form of the sweep (Zhang,
-  Burger & Osher, J. Sci. Comput. 2011).  The relaxed step contracts for
-  any theta; FwsbSystem still requires beta*theta < 1/||Lap_w||_inf
-  (theta below theta_bound), the paper's condition for the unit step,
-  which keeps the factor per step below 1/3.
+  delta <- delta + omega*(b - delta - beta*theta*div_w(grad_w delta))
+  from the identity splitting of the system matrix, written with the
+  sweep's own two operators; no stencil is kept.  Each step adds omega
+  times the residual _change_rhs(v, h - grad_w(delta), X).  From
+  delta = 0 that residual is b, so the first step,
+  X = U + omega*(v + beta*theta*div_w(h) - U), takes no grad_w, and a
+  one-step solve runs one div_w: the linearised Bregman, or split inexact
+  Uzawa, form of the sweep (Zhang, Burger & Osher, J. Sci. Comput. 2011).
+  omega is Richardson's optimal relaxation for the Gershgorin interval
+  [1, 1 + theta/bound] of the system matrix, 2/(2 + theta/bound) with
+  bound = theta_bound(w, beta): it shrinks the largest error factor per
+  step from theta/bound (the unit step's slowest mode, which flips sign
+  every step) to (theta/bound)/(2 + theta/bound), so a solve cut off
+  after any number of steps, one included, hands the Bregman loop no
+  wrong-signed error to feed back.  The relaxed step contracts for any
+  theta; FwsbSystem still requires beta*theta < 1/||Lap_w||_inf (theta
+  below theta_bound), the paper's condition for the unit step, which
+  keeps the factor per step below 1/3.
 * gauss_seidel_solve: classic forward Gauss-Seidel sweeps in lexicographic
-  pixel order on c = v + beta*theta*div_w(r), which wsb_solve builds once
-  per sweep.  The system is strictly diagonally dominant for any
-  theta > 0, so the sweeps always converge.  Within a sweep pixel (i, j)
-  reads only its west and north neighbours from the current sweep, so all
-  pixels on one anti-diagonal i + j = d can be updated at once (the
+  pixel order on b from 0.  The system is strictly diagonally dominant for
+  any theta > 0, so the sweeps always converge.  Within a sweep pixel
+  (i, j) reads only its west and north neighbours from the current sweep,
+  so all pixels on one anti-diagonal i + j = d can be updated at once (the
   hyperplane or wavefront method, Lamport 1974).  A sweep solves
-  (D - L) x_new = c + U x_old: it forms the east and south products
+  (D - L) x_new = b + U x_old: it forms the east and south products
   (the U half, which reads only the previous iterate) in one numpy call,
   then runs one anti-diagonal at a time for the west and north half,
   applying the per-pixel arithmetic in the same order, so its iterates
   and sweep counts equal the per-pixel loop's bit for bit.
 
-Both solvers are one call to _solve, which draws a system's iterates
-until the relative change falls below tau or max_inner is reached, and
-skips that test on the last allowed iteration, where it cannot change
-what is returned.  wsb_solve applies the same rule to U from its second
-sweep on.  wsb_solve picks the solver from the type of the
+In exact arithmetic both solvers' iterates equal those of the same solver
+started from U on the full right-hand side.  Both are one call to _solve,
+which draws a system's iterates until the relative change falls below tau
+or max_inner is reached, and skips that test on the last allowed
+iteration, where it cannot change what is returned.  wsb_solve applies
+the same rule to U from its second sweep on.  Each norm of these tests is
+one dot product.  wsb_solve picks the solver from the type of the
 prepared system it is given.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -88,7 +100,7 @@ __all__ = [
 def soft(z, threshold):
     """Soft-shrinkage: sign(z) * max(|z| - threshold, 0).
 
-    wsb_solve does not call it: it forms soft(z) as z - cut(z).
+    wsb_solve does not call it: its sweep needs only cut(z) = z - soft(z).
     """
     return np.sign(z) * np.maximum(np.abs(z) - threshold, 0.0)
 
@@ -133,6 +145,12 @@ def _rel_change_done(diff_norm: float, ref_norm: float, tau: float) -> bool:
     return diff_norm <= tau * ref_norm
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of x as one dot product: np.linalg.norm's value, bit for bit."""
+    x = x.ravel()
+    return math.sqrt(x.dot(x))
+
+
 class _System:
     """The weights w, theta and bt = beta*theta of one system I - bt*Lap_w.
 
@@ -147,6 +165,18 @@ class _System:
             raise ConfigError(f"theta must be finite and >= 0, got {theta}")
         self.w, self.theta, self.bt = w, theta, beta * theta
 
+    def _change_rhs(self, v: np.ndarray, h: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(v - U) + beta*theta*div_w(h) in a new array, evaluated as
+        beta*theta*div_w(h) + v, then minus U: one div_w.
+
+        With the carried h it is the right-hand side b of the change X - U.
+        """
+        b = div_w(h[0], h[1], self.w)
+        b *= self.bt
+        b += v
+        b -= u
+        return b
+
 
 class FwsbSystem(_System):
     """The system I - beta*theta*Lap_w for fast-splitting solves.
@@ -158,7 +188,7 @@ class FwsbSystem(_System):
     theta inside the range the interval is derived for, and raises
     ConfigError otherwise; the error factor per step is then at most
     (theta/bound)/(2 + theta/bound) < 1/3.  It holds no per-pixel array of
-    its own: each step applies grad_w and div_w.
+    its own: each step after the first applies grad_w and div_w.
     """
 
     def __init__(self, w: WeightField, beta: float, theta: float):
@@ -173,28 +203,26 @@ class FwsbSystem(_System):
         # Gershgorin's discs place in [1, 1 + theta/bound]
         self.omega = 2.0 / (2.0 + theta / bound)
 
-    def iterates(self, v: np.ndarray, r: np.ndarray, x0: np.ndarray, g: np.ndarray):
-        """Endless generator of the flattened iterate after each relaxed step from x0.
+    def iterates(self, v: np.ndarray, h: np.ndarray, u: np.ndarray):
+        """Endless generator of the flattened iterate after each relaxed step from U.
 
-        Each step is x <- x + omega*(v + beta*theta*div_w(r - grad_w(x)) - x),
-        evaluated in that order, with r stacked (2, n, n).  g must hold
-        grad_w(x0) and is overwritten: it takes r - grad_w(x) for div_w,
-        then grad_w of the new iterate, which is computed only when the
-        step after it is drawn.  So m steps run m div_w and m - 1 grad_w.
-        Each iterate is a new array.
+        Solves for the change X - U from 0, whose right-hand side is
+        b = (v - U) + beta*theta*div_w(h), with h stacked (2, n, n).  Each
+        step adds omega times that equation's residual at the current X,
+        X <- X + omega*_change_rhs(v, h - grad_w(X - U), X), evaluated in
+        that order.  From X = U the residual is b itself, so the first step
+        is U + omega*(v + beta*theta*div_w(h) - U) and takes no grad_w; m
+        steps run m div_w and m - 1 grad_w.  Each iterate is a new array.
         """
-        x = x0
+        x, d = u, h
         while True:
-            np.subtract(r, g, out=g)
-            x_new = div_w(g[0], g[1], self.w)
-            x_new *= self.bt
-            x_new += v
-            x_new -= x
+            x_new = self._change_rhs(v, d, x)
             x_new *= self.omega
             x_new += x
             x = x_new
             yield x.ravel()
-            grad_w(x, self.w, out=g)
+            d = grad_w(x - u, self.w)
+            np.subtract(h, d, out=d)
 
 
 def _solve(iterates, x0: np.ndarray, cfg):
@@ -208,30 +236,27 @@ def _solve(iterates, x0: np.ndarray, cfg):
     """
     prev = x0.ravel()
     for m, x in enumerate(iterates, 1):
-        if m == cfg.max_inner or _rel_change_done(
-            float(np.linalg.norm(x - prev)), float(np.linalg.norm(prev)), cfg.tau
-        ):
+        if m == cfg.max_inner or _rel_change_done(_norm(x - prev), _norm(prev), cfg.tau):
             return x.reshape(x0.shape), m
         prev = x
 
 
-def fwsb_linear_solve(v, r, x0, g, cfg, system: FwsbSystem):
-    """Relaxed fixed-point solve of (I - beta*theta*Lap_w) X = v + beta*theta*div_w(r).
+def fwsb_linear_solve(v, h, u, cfg, system: FwsbSystem):
+    """Relaxed fixed-point solve of (I - beta*theta*Lap_w) X = v + beta*theta*div_w(h + grad_w U).
 
     Splitting the system matrix across the identity and relaxing the step
-    by omega turns the solve into
-    X <- X + omega*(v + beta*theta*div_w(r - grad_w X) - X), warm-started
-    from x0; system, the FwsbSystem that holds the weights, beta, theta
-    and omega, yields the iterates.  r is the stacked (2, n, n) field of
-    the right-hand side, and g must hold grad_w(x0): wsb_solve has it from
-    its shrink.  g is overwritten: the solve uses it as scratch.
-    Each step shrinks the error by a factor of at most
+    by omega turns the solve for the change delta = X - U into
+    delta <- delta + omega*(b - delta - beta*theta*div_w(grad_w delta))
+    from delta = 0, with b = (v - U) + beta*theta*div_w(h); system, the
+    FwsbSystem that holds the weights, beta, theta and omega, yields the
+    iterates U + delta.  h is the stacked (2, n, n) field that wsb_solve
+    carries.  Each step shrinks the error by a factor of at most
     (theta/bound)/(2 + theta/bound), with bound = theta_bound(w, beta),
     which is below 1/3 since building the system checked theta < bound.
     Stops by the shared rule of _solve, reading only tau and max_inner
     from cfg, the run's SolverConfig.  Returns (solution, iterations).
     """
-    return _solve(system.iterates(v, r, x0, g), x0, cfg)
+    return _solve(system.iterates(v, h, u), u, cfg)
 
 
 def _sheared_image(plane: np.ndarray) -> np.ndarray:
@@ -297,16 +322,18 @@ class GaussSeidelSystem(_System):
                 terms[c, :, lo:hi], x[c, lo:hi], coef[c, 4, lo:hi],
             ))
 
-    def iterates(self, c: np.ndarray, x0: np.ndarray):
-        """Endless generator of the flattened iterate after each forward sweep from x0.
+    def iterates(self, v: np.ndarray, h: np.ndarray, u: np.ndarray):
+        """Endless generator of the flattened U + delta after each forward sweep.
 
-        Each sweep runs the lexicographic per-pixel sweep one anti-diagonal
-        at a time, with the per-pixel arithmetic in its order, so the
-        iterates equal that loop's bit for bit.  The east and south
-        products are taken for all diagonals before the first is updated.
+        Sweeps (I - beta*theta*Lap_w) delta = b for the change delta = X - U
+        from 0, with b = _change_rhs(v, h, U).  Each sweep runs the
+        lexicographic per-pixel sweep one anti-diagonal at a time, with the
+        per-pixel arithmetic in its order, so each delta equals that loop's
+        bit for bit.  The east and south products are taken for all
+        diagonals before the first is updated.
         """
-        self._b[...] = c
-        self._x[...] = x0
+        self._b[...] = self._change_rhs(v, h, u)
+        self._x[...] = 0.0
         multiply, sum_rows = np.multiply, np.add.reduce
         while True:
             multiply(*self._east_south)
@@ -315,20 +342,22 @@ class GaussSeidelSystem(_System):
                 multiply(cw, xw, tw)
                 sum_rows(t, 0, None, xd, initial=-0.0)
                 multiply(xd, inv_diag, xd)
-            yield self._x.flatten()
+            yield (u + self._x).ravel()
 
 
-def gauss_seidel_solve(c: np.ndarray, x0: np.ndarray, cfg, system: GaussSeidelSystem):
+def gauss_seidel_solve(v, h, u, cfg, system: GaussSeidelSystem):
     """Forward Gauss-Seidel sweeps on the same system, lexicographic order.
 
-    Solves (I - beta*theta*Lap_w) X = c from x0; valid for any theta >= 0
-    thanks to strict diagonal dominance.  system, the GaussSeidelSystem
-    that holds the weights, beta and theta, yields the sweeps; it holds
-    their buffers too, so it must serve one solve at a time.  Stops by the
-    shared rule of _solve, reading only tau and max_inner from cfg, the
-    run's SolverConfig.  Returns (solution, sweeps).
+    Solves (I - beta*theta*Lap_w) X = v + beta*theta*div_w(h + grad_w U)
+    for the change X - U from 0, on b = (v - U) + beta*theta*div_w(h);
+    valid for any theta >= 0 thanks to strict diagonal dominance.  system,
+    the GaussSeidelSystem that holds the weights, beta and theta, yields
+    the iterates U + delta; it holds the sweeps' buffers too, so it must
+    serve one solve at a time.  Stops by the shared rule of _solve, reading
+    only tau and max_inner from cfg, the run's SolverConfig.  Returns
+    (solution, sweeps).
     """
-    return _solve(system.iterates(c, x0), x0, cfg)
+    return _solve(system.iterates(v, h, u), u, cfg)
 
 
 # Names only: wsb_solve and forward_backward._build_system call each
@@ -340,67 +369,61 @@ INNER_SOLVERS = ("fwsb", "gauss_seidel")
 def wsb_solve(v: np.ndarray, cfg, system: FwsbSystem | GaussSeidelSystem):
     """Split-Bregman loop for the backward subproblem.
 
-    Carries U, the Bregman field e and the residual r = d - e of the
-    auxiliary field d, each difference field stacked as one (2, n, n)
-    array; d itself is never formed.  Starts from U = v with e = r = 0.
-    Each sweep solves for U from the previous U with the right-hand side
-    v + beta*theta*div_w(r), and shrinks the shifted differences
-    z = grad_w(U) + e at the level lam/theta: e = cut(z) and
-    d = soft(z) = z - cut(z), so r = (z - e) - e, which equals
-    soft(z) - cut(z) bit for bit wherever it is nonzero.  e, r, grad_w(U)
-    and U's change are buffers allocated once per call, which grad_w and
-    cut fill in place.
+    Carries U, the Bregman field e and h = r - grad_w(U), r = d - e the
+    residual of the auxiliary field d, each difference field stacked as one
+    (2, n, n) array; neither d nor r is formed.  Starts from U = v with
+    e = r = 0, so h = -grad_w(v).  Each sweep solves for U from the
+    previous U, handing (v, h, U) to the linear solve, and shrinks the
+    shifted differences z = grad_w(U) + e at the level lam/theta: the new
+    e is cut(z), and h = r - grad_w(U) = (z - 2e) - (z - e_prev) =
+    (e_prev - e) - e.  e and h are two buffers allocated once per call and
+    updated in place.  Once the solve has returned, h is spent: its first
+    plane takes U's change for the stopping test, then grad_w writes into
+    its buffer, which takes z and the new e; the old e's buffer becomes
+    the new h; the names swap.
     system is the inner solver's prepared system, which holds the weights
-    w, theta and beta*theta, and its type picks the linear solver, whatever
-    cfg.inner says.  For an FwsbSystem the sweep hands v, r, U and
-    grad_w(U), which the previous shrink left in its buffer, to
-    fwsb_linear_solve, whose first step uses them as they are; grad_w(v)
-    is taken once for the first sweep.  For a GaussSeidelSystem it builds
-    c = v + beta*theta*div_w(r) and calls gauss_seidel_solve.  The loop
-    looks the solver, div_w, grad_w and cut up as module-global names, so
-    a wrapper bound to a name (a tracer, say) sees every call: per sweep
-    one linear solve, one cut, one grad_w for the shrink and one div_w,
-    which a one-step fast-splitting solve runs itself.  It stops once U's
-    relative change falls below tau (or max_outer is hit), testing from
-    the second sweep on: the first, with e = r = 0, only smooths v toward
-    the quadratic penalty's solution, and when the linear solve stops
-    after one step its change can fall below tau before any shrinkage
-    has entered U.  cfg is the run's forward_backward.SolverConfig, of
-    which wsb_solve and the linear solves read only lam, tau, max_outer
-    and max_inner.  theta == 0 (the identity system) leaves the shrink
-    level undefined, so it raises ConfigError unless lam == 0.  Returns
-    (U, total inner iterations, outer sweeps).
+    w, theta and beta*theta, and its type picks the linear solver,
+    fwsb_linear_solve or gauss_seidel_solve, whatever cfg.inner says; both
+    take the same arguments.  The loop looks up the solver, grad_w and
+    cut, and _solve looks up div_w, as module-global names, so a wrapper
+    bound to a name (a tracer, say) sees every call: per sweep one linear
+    solve, one div_w (in the solve's right-hand side), one cut and one
+    grad_w, plus one grad_w(v) per call.  It stops once U's relative change falls
+    below tau (or max_outer is hit), testing from the second sweep on: the
+    first, with e = r = 0, only smooths v toward the quadratic penalty's
+    solution, and when the linear solve stops after one step its change
+    can fall below tau before any shrinkage has entered U.  cfg is the
+    run's forward_backward.SolverConfig, of which wsb_solve and the linear
+    solves read only lam, tau, max_outer and max_inner.  theta == 0 (the
+    identity system) leaves the shrink level undefined, so it raises
+    ConfigError unless lam == 0.  Returns (U, total inner iterations,
+    outer sweeps).
     """
     if system.theta == 0 and cfg.lam != 0:
         raise ConfigError("theta == 0 requires lam == 0")
-    w, bt = system.w, system.bt
+    w = system.w
     lvl = cfg.lam / system.theta if system.theta > 0 else 0.0
+    solve = fwsb_linear_solve if isinstance(system, FwsbSystem) else gauss_seidel_solve
+    e = np.zeros((2, *v.shape))
+    h = grad_w(v, w)
+    np.negative(h, out=h)
     u = v
-    e, r, g = np.zeros((3, 2, *v.shape))
-    c, step = np.empty((2, *v.shape))
-    fwsb = isinstance(system, FwsbSystem)
-    if fwsb:
-        grad_w(v, w, out=g)
     total_inner = 0
     for outer in range(1, cfg.max_outer + 1):
-        if fwsb:
-            x, m = fwsb_linear_solve(v, r, u, g, cfg, system)
-        else:
-            div_w(r[0], r[1], w, out=c)
-            c *= bt
-            c += v
-            x, m = gauss_seidel_solve(c, u, cfg, system)
+        x, m = solve(v, h, u, cfg, system)
         total_inner += m
-        # z = grad_w(U) + e in r, then e = cut(z) and r = (z - e) - e; g
-        # keeps grad_w(U) for the next fast-splitting step
-        grad_w(x, w, out=g)
-        np.add(g, e, out=r)
-        cut(r, lvl, out=e)
-        r -= e
-        r -= e
+        # h is spent: its first plane takes U's change for the test, then
+        # z = grad_w(U) + e and the new e = cut(z) fill its buffer; the old
+        # e's buffer turns into h = (e_old - e) - e
         done = outer > 1 and _rel_change_done(
-            float(np.linalg.norm(np.subtract(x, u, out=step))), float(np.linalg.norm(u)), cfg.tau
+            _norm(np.subtract(x, u, out=h[0])), _norm(u), cfg.tau
         )
+        grad_w(x, w, out=h)
+        h += e
+        cut(h, lvl, out=h)
+        e -= h
+        e -= h
+        e, h = h, e
         u = x
         if done:
             break

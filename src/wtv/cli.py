@@ -31,7 +31,9 @@ from .testdata import NoiseSpec, add_gaussian_noise, piecewise_test_image, shepp
 
 __all__ = ["ExperimentConfig", "run_experiment", "sweep_lambda", "main"]
 
-PROBLEMS = ("deblur", "cs_mri")
+# each problem with its smallest side length: the deblur test image needs 32
+MIN_N = {"deblur": 32, "cs_mri": 16}
+PROBLEMS = tuple(MIN_N)
 
 ENV_OUTPUT_ROOT = "WTV_OUTPUT_ROOT"
 
@@ -58,8 +60,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ConfigError(f"problem must be one of {PROBLEMS}, got {self.problem!r}")
-        if self.n < 16:
-            raise ConfigError(f"n must be at least 16, got {self.n}")
+        if self.n < MIN_N[self.problem]:
+            raise ConfigError(f"n must be at least {MIN_N[self.problem]} for "
+                              f"problem = {self.problem}, got {self.n}")
         if not self.solvers:
             raise ConfigError("need at least one solver")
         for s in self.solvers:

@@ -8,11 +8,15 @@ are the weighted difference operators written on the (n, n) image with
 2-D slices, the formulas the flat operators in wtv.grid must reproduce
 bit for bit.  laplacian_w evaluates the five-point stencil directly,
 objective_backward is the backward subproblem's objective, normal_matrix
-assembles a forward model's normal operator, and read_grid reads the
-binary grid files that wtv.grid.write_grid writes.
+assembles a forward model's normal operator, residual_form_wsb is the
+split-Bregman loop in its textbook residual form on dense matrices,
+read_grid reads the binary grid files that wtv.grid.write_grid writes,
+and benchmark_literal reads a constant of the benchmark's own files.
 """
 
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -79,6 +83,57 @@ def normal_matrix(model) -> np.ndarray:
         e[k] = 1.0
         out[:, k] = model.adjoint(model.apply(e.reshape(n, n))).ravel()
     return out
+
+
+def residual_form_wsb(v: np.ndarray, system, cfg, relaxed: bool):
+    """The split-Bregman loop as the textbook writes it, on dense matrices.
+
+    Carries U, the Bregman field e and the residual r = d - e of the
+    auxiliary field d.  Each sweep solves A X = v + beta*theta*G^T r, with
+    G the stacked weighted differences and A = I + beta*theta*G^T G, from
+    the previous U: relaxed Richardson steps X <- X + omega*(c - A X) when
+    relaxed (omega the FwsbSystem's), lexicographic Gauss-Seidel sweeps
+    otherwise, each stopped by the linear solvers' rule.  Then it shrinks
+    z = G X + e: d = soft(z), e = cut(z), r = d - e, and stops by
+    wsb_solve's rule.  w, theta and beta*theta are the prepared system's;
+    cfg gives lam, tau and the caps.  Returns (U, total inner iterations,
+    sweeps).  Gated to n <= 32 like the other dense matrices.
+    """
+    gx, gy = grad_matrices(system.w)
+    g = np.vstack((gx, gy))
+    a = np.eye(g.shape[1]) + system.bt * (g.T @ g)
+    lower = np.tril(a)
+    lvl = cfg.lam / system.theta
+
+    def done(diff, ref):
+        diff, ref = np.linalg.norm(diff), np.linalg.norm(ref)
+        return (diff <= cfg.tau * ref) if ref >= 1e-14 else (diff <= cfg.tau)
+
+    u = v.ravel().copy()
+    e = r = np.zeros(g.shape[0])
+    total = 0
+    for sweep in range(1, cfg.max_outer + 1):
+        c = v.ravel() + system.bt * (g.T @ r)
+        x = u
+        for m in range(1, cfg.max_inner + 1):
+            if relaxed:
+                x_new = x + system.omega * (c - a @ x)
+            else:
+                x_new = np.linalg.solve(lower, c - (a - lower) @ x)
+            stop = done(x_new - x, x)
+            x = x_new
+            if stop:
+                break
+        total += m
+        z = g @ x + e
+        d = np.sign(z) * np.maximum(np.abs(z) - lvl, 0.0)
+        e = np.clip(z, -lvl, lvl)
+        r = d - e
+        stop = sweep > 1 and done(x - u, u)
+        u = x
+        if stop:
+            break
+    return u.reshape(v.shape), total, sweep
 
 
 def grad_w_2d(u: np.ndarray, w: WeightField) -> np.ndarray:
@@ -151,20 +206,35 @@ def read_grid(path) -> np.ndarray:
     ).reshape(n, n)
 
 
+def benchmark_literal(filename: str, name: str):
+    """The literal assigned to name at the top level of perfbench/filename.
+
+    The file is parsed, not imported, so nothing of the benchmark runs.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / filename
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == [name]
+    )
+
+
 def record_changes(system) -> list:
     """Norms of X_{m+1} - X_m, one per iteration of every later solve on system.
 
-    Wraps the instance's iterates(v, r, x0, g), the FwsbSystem protocol.
-    For the relaxed fixed-point splitting the change X_{m+1} - X_m equals
-    omega times the residual c - A X_m, with c = v + beta*theta*div_w(r),
-    so its ratios follow the relaxed step's contraction.
+    Wraps the instance's iterates(v, h, u), the protocol of both prepared
+    systems.  For the relaxed fixed-point splitting the change
+    X_{m+1} - X_m equals omega times the residual c - A X_m, with
+    c = v + beta*theta*div_w(h + grad_w(u)), so its ratios follow the
+    relaxed step's contraction.
     """
     changes = []
     iterates = system.iterates
 
-    def recording_iterates(v, r, x0, g):
-        prev = x0.ravel()
-        for x in iterates(v, r, x0, g):
+    def recording_iterates(v, h, u):
+        prev = u.ravel()
+        for x in iterates(v, h, u):
             changes.append(float(np.linalg.norm(x - prev)))
             prev = x
             yield x

@@ -63,8 +63,8 @@ def _random_instance(rng, beta, n=16):
     theta is 0.9 times the bound.  The right-hand side is the Bregman
     loop's, v + beta*theta*div_w(r) with r = (dx - ex, dy - ey), from a
     random target v and warm auxiliary fields; x0 is random too.  It is
-    returned both as its value c, which gauss_seidel_solve takes, and as
-    v with r stacked (2, n, n), which fwsb_linear_solve takes.
+    returned both as its value c, for the dense solve, and as v with
+    h = r - grad_w(x0) stacked (2, n, n), which both linear solvers take.
     """
     wx = rng.uniform(0.2, 2.0, size=(n, n))
     wy = rng.uniform(0.2, 2.0, size=(n, n))
@@ -72,7 +72,7 @@ def _random_instance(rng, beta, n=16):
     v, x0, dx, dy, ex, ey = (rng.normal(size=(n, n)) for _ in range(6))
     theta = 0.9 * theta_bound(w, beta)
     r = np.stack((dx - ex, dy - ey))
-    return w, theta, v + beta * theta * div_w(r[0], r[1], w), x0, v, r
+    return w, theta, v + beta * theta * div_w(r[0], r[1], w), x0, v, r - grad_w(x0, w)
 
 
 def test_criterion_01_inner_solvers_match_dense_oracle():
@@ -81,14 +81,14 @@ def test_criterion_01_inner_solvers_match_dense_oracle():
     start = time.perf_counter()
     for _ in range(20):
         beta = 0.5
-        w, theta, c, x0, v, r = _random_instance(rng, beta)
+        w, theta, c, x0, v, h = _random_instance(rng, beta)
         p = SolverConfig(lam=0.1, tau=1e-12, max_inner=2000)
         systems = FwsbSystem(w, beta, theta), GaussSeidelSystem(w, beta, theta)
         exact = direct_solve(c, systems[0])
         ref = np.linalg.norm(exact)
         solves = (
-            fwsb_linear_solve(v, r, x0, grad_w(x0, w), p, systems[0]),
-            gauss_seidel_solve(c, x0, p, systems[1]),
+            fwsb_linear_solve(v, h, x0, p, systems[0]),
+            gauss_seidel_solve(v, h, x0, p, systems[1]),
         )
         for x, _ in solves:
             worst = max(worst, float(np.linalg.norm(x - exact)) / ref)
@@ -108,7 +108,7 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
     worst_margin = -np.inf
     for _ in range(20):
         beta = 0.5
-        w, theta, _, x0, v, r = _random_instance(rng, beta)
+        w, theta, _, x0, v, h = _random_instance(rng, beta)
         # the spectral radius of beta*theta*Lap_w, from the dense matrix
         rho = beta * theta * float(np.max(np.abs(np.linalg.eigvalsh(laplacian_matrix(w)))))
         assert rho < 1.0
@@ -119,7 +119,7 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
         p = SolverConfig(lam=0.1, tau=1e-13, max_inner=400)
         system = FwsbSystem(w, beta, theta)
         residuals = record_changes(system)
-        fwsb_linear_solve(v, r, x0, grad_w(x0, w), p, system)
+        fwsb_linear_solve(v, h, x0, p, system)
         ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
         gmean = float(np.exp(np.mean(np.log(ratios))))
         worst_rho = max(worst_rho, rho)

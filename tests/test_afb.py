@@ -1,9 +1,7 @@
 """Accelerated forward-backward driver: steps, schedule, trace, stopping."""
 
-import ast
 import importlib
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +21,8 @@ from wtv.grid import unit_weights
 from wtv.metrics import psnr
 from wtv.operators import ForwardModel, FourierMaskModel, GaussianBlurModel, radial_mask
 from wtv.testdata import NoiseSpec, add_gaussian_noise, piecewise_test_image, shepp_logan
+
+from oracles import benchmark_literal
 
 
 def small_cs_problem(n=32, lines=4):
@@ -420,25 +420,16 @@ class TestModuleGlobalLookup:
         assert counts["weight_updates"] == len(trace) - 1
         expected_builds = counts["weight_updates"] if inner == "gauss_seidel" else 0
         assert counts["gs_builds"] == expected_builds
-        # one of each per Bregman sweep, each one layer of the benchmark; a
-        # fast-splitting backward step also takes grad_w(v) for its first sweep
+        # one of each per Bregman sweep, each one layer of the benchmark;
+        # each backward step also takes grad_w(v) for its first sweep
         assert counts["sweeps"] > len(trace) - 1
         assert counts["div_w"] == counts["cut"] == counts["sweeps"]
-        first_steps = len(trace) - 1 if inner == "fwsb" else 0
-        assert counts["grad_w"] == counts["sweeps"] + first_steps
+        assert counts["grad_w"] == counts["sweeps"] + len(trace) - 1
 
     def test_tracer_hooks_exist(self):
         # perfbench/tracer.py wraps the names in its HOOKS; a name that is
-        # gone leaves its benchmark metrics absent.  The file is parsed, not
-        # imported, so nothing of the benchmark runs here.
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        hooks = next(
-            ast.literal_eval(node.value) for node in tree.body
-            if isinstance(node, ast.Assign)
-            and [getattr(t, "id", None) for t in node.targets] == ["HOOKS"]
-        )
-        for modname, names in hooks.items():
+        # gone leaves its benchmark metrics absent
+        for modname, names in benchmark_literal("tracer.py", "HOOKS").items():
             module = importlib.import_module(modname)
             assert [name for name in names if not hasattr(module, name)] == []
 

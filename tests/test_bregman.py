@@ -1,5 +1,7 @@
 """Shrinkage operators, the inner linear solvers, and the split Bregman loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from oracles import (
     laplacian_matrix,
     objective_backward,
     record_changes,
+    residual_form_wsb,
     system_matrix,
 )
 from wtv.bregman import (
@@ -118,94 +121,102 @@ def _random_system(rng, system):
     """Right-hand side and start x0 of a linear solve on system from random fields.
 
     Draws the start, the auxiliary fields dx, dy, the Bregman fields ex, ey
-    and then v.  The right-hand side v + beta*theta*div_w(r), r = d - e,
-    is handed to fwsb_linear_solve as v and r stacked (2, n, n); c is its
-    value, as wsb_solve builds it for gauss_seidel_solve, with the system's
-    w and beta*theta.  Returns (c, x0, v, r).
+    and then v.  The right-hand side is v + beta*theta*div_w(r), r = d - e,
+    with the system's w and beta*theta; c is its value, for the dense
+    solve.  The linear solvers take it as v and h = r - grad_w(x0), stacked
+    (2, n, n), the field wsb_solve carries.  Returns (c, x0, v, h).
     """
     w = system.w
     x0, dx, dy, ex, ey, v = (rng.normal(size=(w.n, w.n)) for _ in range(6))
     r = np.stack((dx - ex, dy - ey))
-    return v + system.bt * div_w(r[0], r[1], w), x0, v, r
+    return v + system.bt * div_w(r[0], r[1], w), x0, v, r - grad_w(x0, w)
 
 
-def _solve_fwsb(instance, p, system):
-    """fwsb_linear_solve on an instance of _random_system, handed grad_w(x0)."""
-    _, x0, v, r = instance
-    return fwsb_linear_solve(v, r, x0, grad_w(x0, system.w), p, system)
+def _solve(linear_solve, instance, p, system):
+    """linear_solve on an instance of _random_system."""
+    _, x0, v, h = instance
+    return linear_solve(v, h, x0, p, system)
 
 
-def _solve_gauss_seidel(instance, p, system):
-    """gauss_seidel_solve on an instance of _random_system."""
-    c, x0, *_ = instance
-    return gauss_seidel_solve(c, x0, p, system)
+def _reference_rhs(v, h, u, system):
+    """(v - u) + beta*theta*div_w(h), the right-hand side of the change X - u,
+    in the prepared systems' order of operations."""
+    return system.bt * div_w(h[0], h[1], system.w) + v - u
 
 
-def _reference_fwsb(v, r, x0, system, p, omega):
-    """The fixed-point iteration relaxed by omega, through grad_w and div_w.
+def _reference_rule(iterates, u, p):
+    """The linear solvers' stopping rule over iterates drawn from u: the
+    relative change against tau, with an absolute fallback, or max_inner."""
+    prev = u
+    for m, x in enumerate(iterates, 1):
+        diff, ref = np.linalg.norm(x - prev), np.linalg.norm(prev)
+        if m == p.max_inner or ((diff <= p.tau * ref) if ref >= 1e-14 else (diff <= p.tau)):
+            return x, m
+        prev = x
 
-    X <- X + omega*(v + beta*theta*div_w(r - grad_w X) - X) with the
-    system's w and beta*theta, r a pair of difference fields, and the
-    solver's stopping rule; omega = 1 is the paper's unit step.
+
+def _reference_fwsb(v, h, u, system, omega):
+    """Iterates of the fixed-point iteration relaxed by omega, from u.
+
+    X <- X + omega*(v + beta*theta*div_w(h - grad_w(X - u)) - X) through
+    grad_w and div_w, with the system's w and beta*theta: the relaxed step
+    on the change X - u, whose right-hand side is
+    (v - u) + beta*theta*div_w(h).  omega = 1 is the paper's unit step.
     """
     w, bt = system.w, system.bt
-    rx, ry = r
-    x = x0.copy()
-    for m in range(1, p.max_inner + 1):
-        gx, gy = grad_w(x, w)
-        x_new = x + omega * (v + bt * div_w(rx - gx, ry - gy, w) - x)
-        diff, ref = np.linalg.norm(x_new - x), np.linalg.norm(x)
-        x = x_new
-        if (diff <= p.tau * ref) if ref >= 1e-14 else (diff <= p.tau):
-            break
-    return x, m
+    x, (dx, dy) = u, h
+    while True:
+        x = x + omega * (bt * div_w(dx, dy, w) + v - x)
+        yield x
+        gx, gy = grad_w(x - u, w)
+        dx, dy = h[0] - gx, h[1] - gy
 
 
-def _reference_gauss_seidel(b, x0, system, p):
-    """Lexicographic Gauss-Seidel one pixel at a time on system's w and
-    beta*theta, with the solver's stopping rule."""
+def _reference_gauss_seidel(b, u, system):
+    """Iterates u + delta of lexicographic Gauss-Seidel one pixel at a time
+    on system's w and beta*theta, from delta = 0."""
     n, bt = b.shape[0], system.bt
     ce, cw, cs, cn = _stencil_coeffs(system.w)
     inv_diag = 1.0 / (1.0 + bt * (ce + cw + cs + cn))
     x = np.zeros((n + 2, n + 2))  # zero ring: reads beyond the grid
-    x[1:-1, 1:-1] = x0
-    for m in range(1, p.max_inner + 1):
-        prev = x[1:-1, 1:-1].copy()
+    while True:
         for i, j in np.ndindex(n, n):
             x[i + 1, j + 1] = (
                 b[i, j] + bt * cw[i, j] * x[i + 1, j] + bt * ce[i, j] * x[i + 1, j + 2]
                 + bt * cn[i, j] * x[i, j + 1] + bt * cs[i, j] * x[i + 2, j + 1]
             ) * inv_diag[i, j]
-        diff, ref = np.linalg.norm(x[1:-1, 1:-1] - prev), np.linalg.norm(prev)
-        if (diff <= p.tau * ref) if ref >= 1e-14 else (diff <= p.tau):
-            break
-    return x[1:-1, 1:-1].copy(), m
+        yield u + x[1:-1, 1:-1]
 
 
 def _reference_wsb(v, system, p, linear_solve):
-    """The split-Bregman loop written out with soft and cut around
-    linear_solve(v, r, x0), which solves for v + beta*theta*div_w(r) with
-    r = (dx - ex, dy - ey), on system's w, theta and beta*theta."""
+    """The split-Bregman loop written out with cut around linear_solve(v, h, x0).
+
+    linear_solve solves for v + beta*theta*div_w(h + grad_w(x0)), with
+    h = (hx, hy) = r - grad_w(U), on system's w, theta and beta*theta.  h
+    starts at -grad_w(v) and after each shrink is (e_prev - e) - e.
+    """
     w, lvl = system.w, p.lam / system.theta
     u = v.copy()
-    dx = dy = ex = ey = np.zeros_like(v)
+    ex = ey = np.zeros_like(v)
+    gx, gy = grad_w(v, w)
+    hx, hy = -gx, -gy
     total = 0
     for sweep in range(1, p.max_outer + 1):
-        x, m = linear_solve(v, (dx - ex, dy - ey), u)
+        x, m = linear_solve(v, (hx, hy), u)
         total += m
         gx, gy = grad_w(x, w)
-        dx, dy, ex, ey = (
-            soft(gx + ex, lvl), soft(gy + ey, lvl), cut(gx + ex, lvl), cut(gy + ey, lvl)
-        )
+        ex_new, ey_new = cut(gx + ex, lvl), cut(gy + ey, lvl)
+        hx, hy = (ex - ex_new) - ex_new, (ey - ey_new) - ey_new
+        ex, ey = ex_new, ey_new
         diff, ref = np.linalg.norm(x - u), np.linalg.norm(u)
         u = x
-        if (diff <= p.tau * ref) if ref >= 1e-14 else (diff <= p.tau):
+        if sweep > 1 and ((diff <= p.tau * ref) if ref >= 1e-14 else (diff <= p.tau)):
             break
     return u, total, sweep
 
 
 # (prepared system, linear solver) of each inner solver
-SOLVERS = [(FwsbSystem, _solve_fwsb), (GaussSeidelSystem, _solve_gauss_seidel)]
+SOLVERS = [(FwsbSystem, fwsb_linear_solve), (GaussSeidelSystem, gauss_seidel_solve)]
 SOLVER_IDS = ["fwsb", "gauss_seidel"]
 
 
@@ -215,8 +226,8 @@ class TestInnerSolvers:
         w = random_weights(8)
         v = rng.normal(size=(8, 8))
         p = SolverConfig(lam=0.1, tau=1e-13, max_inner=50)
-        r = np.zeros((2, 8, 8))
-        x, m = fwsb_linear_solve(v, r, v, grad_w(v, w), p, FwsbSystem(w, 1e-3, 1e-12))
+        # r = 0, so h = r - grad_w(v)
+        x, m = fwsb_linear_solve(v, -grad_w(v, w), v, p, FwsbSystem(w, 1e-3, 1e-12))
         assert np.allclose(x, v, atol=1e-10)
 
     @pytest.mark.parametrize("system_type, linear_solve", SOLVERS, ids=SOLVER_IDS)
@@ -228,7 +239,7 @@ class TestInnerSolvers:
         system = system_type(w, beta, theta)
         instance = _random_system(rng, system)
         ref = direct_solve(instance[0], system)
-        x, m = linear_solve(instance, p, system)
+        x, m = _solve(linear_solve, instance, p, system)
         assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
         assert 0 < m <= 500
 
@@ -239,8 +250,8 @@ class TestInnerSolvers:
         p = SolverConfig(lam=0.2, tau=1e-11, max_inner=500)
         system = FwsbSystem(w, beta, theta)
         instance = _random_system(rng, system)
-        xf, _ = _solve_fwsb(instance, p, system)
-        xg, _ = _solve_gauss_seidel(instance, p, GaussSeidelSystem(w, beta, theta))
+        xf, _ = _solve(fwsb_linear_solve, instance, p, system)
+        xg, _ = _solve(gauss_seidel_solve, instance, p, GaussSeidelSystem(w, beta, theta))
         assert np.allclose(xf, xg, atol=1e-8)
 
     def test_fwsb_refuses_theta_out_of_bound(self, random_weights):
@@ -260,10 +271,9 @@ class TestInnerSolvers:
         theta = 0.9 * theta_bound(w, beta)
         p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
         system = FwsbSystem(w, beta, theta)
-        instance = _random_system(rng, system)
-        _, x0, v, r = instance
-        x, m = _solve_fwsb(instance, p, system)
-        x_ref, m_ref = _reference_fwsb(v, r, x0, system, p, system.omega)
+        _, x0, v, h = _random_system(rng, system)
+        x, m = fwsb_linear_solve(v, h, x0, p, system)
+        x_ref, m_ref = _reference_rule(_reference_fwsb(v, h, x0, system, system.omega), x0, p)
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
         assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
@@ -284,7 +294,7 @@ class TestInnerSolvers:
         system = FwsbSystem(w, beta, theta)
         instance = _random_system(rng, system)
         residuals = record_changes(system)
-        _solve_fwsb(instance, p, system)
+        _solve(fwsb_linear_solve, instance, p, system)
         ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
         # geometric-mean contraction factor against the bound
         gmean = float(np.exp(np.mean(np.log(ratios))))
@@ -292,12 +302,14 @@ class TestInnerSolvers:
         assert gmean <= max(1 - omega, abs(1 - omega - omega * rho)) + 0.05
 
     def test_gs_one_sweep_identity_system(self, rng, random_weights):
-        # theta = 0 turns the system into the identity; the first sweep
-        # already lands exactly on b = v (the second only detects it)
+        # theta = 0 turns the system into the identity; from U = 0 the
+        # first sweep already lands exactly on b = v (the second only
+        # detects it)
         w = random_weights(8)
         p = SolverConfig(lam=0.0, tau=1e-10, max_inner=50)
         v = rng.normal(size=(8, 8))
-        x, m = gauss_seidel_solve(v, np.zeros((8, 8)), p, GaussSeidelSystem(w, 0.9, 0.0))
+        zero = np.zeros((8, 8))
+        x, m = gauss_seidel_solve(v, np.zeros((2, 8, 8)), zero, p, GaussSeidelSystem(w, 0.9, 0.0))
         assert m <= 2
         assert np.array_equal(x, v)
 
@@ -313,9 +325,10 @@ class TestInnerSolvers:
         theta = 0.7 * theta_bound(w, beta)
         p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
         system = GaussSeidelSystem(w, beta, theta)
-        c, x0, *_ = _random_system(rng, system)
-        x, m = gauss_seidel_solve(c, x0, p, system)
-        x_ref, m_ref = _reference_gauss_seidel(c, x0, system, p)
+        _, x0, v, h = _random_system(rng, system)
+        x, m = gauss_seidel_solve(v, h, x0, p, system)
+        b = _reference_rhs(v, h, x0, system)
+        x_ref, m_ref = _reference_rule(_reference_gauss_seidel(b, x0, system), x0, p)
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
         assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
@@ -325,24 +338,30 @@ class TestInnerSolvers:
     def test_gauss_seidel_signed_zeros_equal_reference_loop(
         self, rng, random_weights, n, kind
     ):
-        # zeros: b and x0 of random +-0.0.  underflow: b alternates the
-        # smallest negative subnormal with -0.0 and x0 is -0.0, so products
-        # underflow to -0.0 and on half the pixels all five terms of the sum
-        # are -0.0; only a sum that starts from b itself keeps that sign
+        # the sweeps run from delta = +0.0, and U = -0.0 adds nothing to
+        # any delta, signed zeros included.  zeros: b of random +-0.0.
+        # underflow: b alternates the smallest negative subnormal with
+        # -0.0, so products underflow to -0.0, and from the second sweep on
+        # all five terms of the sum are -0.0 on half the pixels; only a sum
+        # that starts from b itself keeps that sign.  The iterates are drawn
+        # from the system directly: the stopping rule would end at the
+        # first, whose change is below any tau.  The system's right-hand
+        # side is substituted, since none formed from (v, h, U) holds a
+        # -0.0 pattern
         w = random_weights(n)
         beta = 0.9
         theta = 0.7 * theta_bound(w, beta)
-        p = SolverConfig(lam=0.1, tau=1e-14, max_inner=3)
         system = GaussSeidelSystem(w, beta, theta)
+        u = np.full((n, n), -0.0)
         if kind == "zeros":
-            c, x0 = (np.where(rng.random((n, n)) < 0.5, -0.0, 0.0) for _ in range(2))
+            b = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
         else:
             i, j = np.indices((n, n))
-            c, x0 = np.where((i + j) % 2, -5e-324, -0.0), np.full((n, n), -0.0)
-        x, m = gauss_seidel_solve(c, x0, p, system)
-        x_ref, m_ref = _reference_gauss_seidel(c, x0, system, p)
-        assert m == m_ref
-        assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
+            b = np.where((i + j) % 2, -5e-324, -0.0)
+        system._change_rhs = lambda v, h, u: b
+        pairs = zip(system.iterates(None, None, u), _reference_gauss_seidel(b, u, system))
+        for _, (x, x_ref) in zip(range(3), pairs):
+            assert np.array_equal(x.view(np.int64), x_ref.ravel().view(np.int64))
 
     @pytest.mark.parametrize("system_type, linear_solve", SOLVERS, ids=SOLVER_IDS)
     @pytest.mark.parametrize("tau, max_inner", [(1e-10, 300), (1e-8, 5)])
@@ -358,8 +377,8 @@ class TestInnerSolvers:
         shared = system_type(w, beta, theta)
         for _ in range(3):
             instance = _random_system(rng, shared)
-            x, m = linear_solve(instance, p, shared)
-            x_new, m_new = linear_solve(instance, p, system_type(w, beta, theta))
+            x, m = _solve(linear_solve, instance, p, shared)
+            x_new, m_new = _solve(linear_solve, instance, p, system_type(w, beta, theta))
             assert m == m_new
             assert np.array_equal(x.view(np.int64), x_new.view(np.int64))
 
@@ -376,9 +395,10 @@ class TestInnerSolvers:
         theta = 0.9 * theta_bound(w, beta)
         p = SolverConfig(lam=0.1, tau=1e-10, max_inner=300)
         system = FwsbSystem(w, beta, theta)
-        _, x0, v, r = _random_system(rng, system)
-        x1, m1 = fwsb_linear_solve(v, r, x0, grad_w(x0, w), p, system)
-        x2, m2 = fwsb_linear_solve(v, r, x1, grad_w(x1, w), p, system)
+        c, x0, v, h = _random_system(rng, system)
+        x1, m1 = fwsb_linear_solve(v, h, x0, p, system)
+        # the same right-hand side from x1: h + grad_w(x0) = r
+        x2, m2 = fwsb_linear_solve(v, h + grad_w(x0, w) - grad_w(x1, w), x1, p, system)
         assert m2 <= 2
         assert np.allclose(x2, x1, atol=1e-8)
 
@@ -442,11 +462,9 @@ class TestWsbSolve:
     ):
         # pins the loop's bookkeeping against a reference loop that shares
         # no code with it: which fields enter the right-hand side, in which
-        # order, and what each sweep and solve counts.  The fast-splitting
-        # step's grad_w of the start is the one the previous shrink took.  At
-        # this lam about a third of the differences end above the shrink
-        # level, so both sides of cut run and r = (z - e) - e must keep its
-        # rounding: z - 2*e differs in the last bit there and fails
+        # order, and what each sweep and solve counts.  At this lam about a
+        # third of the differences end above the shrink level, so both
+        # sides of cut run
         w = random_weights(8)
         beta = 0.9
         theta = 0.5 * theta_bound(w, beta)
@@ -454,12 +472,16 @@ class TestWsbSolve:
         v = rng.normal(size=(8, 8))
         system = system_type(w, beta, theta)
         u, total_inner, sweeps = wsb_solve(v, p, system)
-        linear_solve = {
-            GaussSeidelSystem: lambda v, r, x0: _reference_gauss_seidel(
-                v + system.bt * div_w(*r, w), x0, system, p
+        iterates = {
+            GaussSeidelSystem: lambda v, h, x0: _reference_gauss_seidel(
+                _reference_rhs(v, h, x0, system), x0, system
             ),
-            FwsbSystem: lambda v, r, x0: _reference_fwsb(v, r, x0, system, p, system.omega),
+            FwsbSystem: lambda v, h, x0: _reference_fwsb(v, h, x0, system, system.omega),
         }[system_type]
+
+        def linear_solve(v, h, x0):
+            return _reference_rule(iterates(v, h, x0), x0, p)
+
         u_ref, total_ref, sweeps_ref = _reference_wsb(v, system, p, linear_solve)
         assert (sweeps == max_outer) == (max_outer == 4)
         assert (sweeps, total_inner) == (sweeps_ref, total_ref)
@@ -476,11 +498,51 @@ class TestWsbSolve:
         u_g, _, _ = wsb_solve(v, p, GaussSeidelSystem(w, beta, theta))
         assert np.linalg.norm(u_f - u_g) <= 10 * tau * np.linalg.norm(u_g)
 
+    @pytest.mark.parametrize("system_type", [FwsbSystem, GaussSeidelSystem])
+    @pytest.mark.parametrize("max_inner", [1, 3, 50])
+    def test_matches_residual_form_oracle(self, rng, random_weights, system_type, max_inner):
+        # the carried h = r - grad_w(U) and the correction-form solves give
+        # the textbook residual-form loop's iterates up to rounding: the
+        # same sweeps and inner iterations, and U to 1e-12 relative
+        w = random_weights(8)
+        beta = 0.9
+        system = system_type(w, beta, 0.5 * theta_bound(w, beta))
+        p = SolverConfig(lam=0.03, tau=1e-6, max_outer=300, max_inner=max_inner)
+        v = rng.normal(size=(8, 8))
+        u, total_inner, sweeps = wsb_solve(v, p, system)
+        u_ref, total_ref, sweeps_ref = residual_form_wsb(
+            v, system, p, relaxed=system_type is FwsbSystem
+        )
+        assert sweeps < p.max_outer
+        assert (sweeps, total_inner) == (sweeps_ref, total_ref)
+        assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+
+    def test_working_set_of_one_backward_step(self, rng, random_weights):
+        # a default call at 64x64 peaks at 9.5 image-sized arrays above its
+        # start at most: U, the solve's iterate and right-hand side, the two
+        # stacked fields e and h, and passing temporaries.  tracemalloc
+        # sees numpy's buffers, so the count is exact and noise-free
+        n = 64
+        w = random_weights(n)
+        system = FwsbSystem(w, 0.9, 0.9 * theta_bound(w, 0.9))
+        p = SolverConfig(lam=0.03)
+        v = rng.normal(size=(n, n))
+        wsb_solve(v, p, system)  # numpy's own first-call allocations
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            wsb_solve(v, p, system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / v.nbytes <= 9.5
+
     def test_table_form_rhs_identity(self, rng):
-        # d - e equals (z - e) - e for z = grad(U) + e and e = cut(z): the
-        # textbook right-hand side and wsb_solve's agree bit for bit
-        # wherever they are nonzero (where both vanish, zeros may differ
-        # in sign), over magnitudes 1e-8 to 1e8 and at |z| == lvl
+        # soft(z) = z - cut(z) exactly, the identity from which wsb_solve
+        # derives h = e_prev - 2*e: d - e equals (z - e) - e for
+        # e = cut(z) bit for bit wherever they are nonzero (where both
+        # vanish, zeros may differ in sign), over magnitudes 1e-8 to 1e8
+        # and at |z| == lvl
         for lvl in (1e-8, 1e-3, 3.0, 1e4, 1e8):
             z = rng.normal(size=(16, 16)) * 10.0 ** rng.integers(-8, 9, size=(16, 16))
             z[0, :4] = lvl, -lvl, np.nextafter(lvl, np.inf), -np.nextafter(lvl, 0.0)

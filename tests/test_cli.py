@@ -21,7 +21,7 @@ from wtv.cli import (
 from wtv.errors import ConfigError, DivergenceError
 from wtv.forward_backward import SolverConfig
 
-from oracles import read_grid
+from oracles import benchmark_literal, read_grid
 from test_acceptance import CRITERION_7_SOLVER, CRITERION_8_SOLVER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -177,7 +177,19 @@ class TestExperimentConfigValidation:
 
     def test_small_n(self):
         with pytest.raises(ConfigError, match="at least 16"):
-            ExperimentConfig(problem="deblur", n=8)
+            ExperimentConfig(problem="cs_mri", n=8)
+
+    def test_benchmark_workloads_build(self):
+        # perfbench/workloads.py gives each workload's config keys as plain
+        # data, which the benchmark hands to SolverConfig and
+        # ExperimentConfig as here; a key that src/ renames or rejects fails
+        # this test rather than every benchmark run
+        workloads = benchmark_literal("workloads.py", "WORKLOADS")
+        assert workloads
+        for spec in workloads.values():
+            solver = SolverConfig(**spec["solver"])
+            cfg = ExperimentConfig(**spec["experiment"], solvers=(solver.inner,), solver=solver)
+            assert cfg.solver is solver
 
     def test_empty_solvers(self):
         with pytest.raises(ConfigError, match="at least one solver"):
@@ -400,6 +412,9 @@ class TestMain:
         "bad, named",
         [
             ({"tau": -1}, "tau"),
+            ({"problem": "cs_mri", "n": 15}, "n must be at least 16"),
+            # the deblur test image needs 32
+            ({"n": 20}, "n must be at least 32"),
             ({"max_inner": 0}, "max_inner"),
             ({"max_outer": 0}, "max_outer"),
             ({"problem": "cs_mri", "mask_lines": 0}, "mask_lines"),
@@ -424,7 +439,7 @@ class TestMain:
             ({"beta": 1e-320}, "beta"),
         ],
         ids=[
-            "tau", "max_inner", "max_outer", "mask_lines", "blur_sigma", "blur_size", "noise", "seed",
+            "tau", "n", "n_deblur", "max_inner", "max_outer", "mask_lines", "blur_sigma", "blur_size", "noise", "seed",
             "beta", "mu_scale_inf", "mu_scale_overflow", "a_inf", "epsilon_inf", "tau_inf",
             "blur_sigma_inf", "r0_inf", "blur_sigma_underflow", "blur_sigma_underflow_uniform",
             "a_overflow", "beta_subnormal",
