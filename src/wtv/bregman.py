@@ -54,15 +54,16 @@ linear solvers are provided:
   keeps the factor per step below 1/3.
 * gauss_seidel_solve: classic forward Gauss-Seidel sweeps in lexicographic
   pixel order on b from 0.  The system is strictly diagonally dominant for
-  any theta > 0, so the sweeps always converge.  Within a sweep pixel
-  (i, j) reads only its west and north neighbours from the current sweep,
-  so all pixels on one anti-diagonal i + j = d can be updated at once (the
-  hyperplane or wavefront method, Lamport 1974).  A sweep solves
-  (D - L) x_new = b + U x_old: it forms the east and south products
-  (the U half, which reads only the previous iterate) in one numpy call,
-  then runs one anti-diagonal at a time for the west and north half,
-  applying the per-pixel arithmetic in the same order, so its iterates
-  and sweep counts equal the per-pixel loop's bit for bit.
+  any theta > 0, so the sweeps always converge.  Each row is divided by
+  its diagonal (Jacobi scaling): with c' = beta*theta*c/diag for the
+  neighbour coefficients c, pixel (i, j) takes
+  (((b/diag + ce'*xE) + cs'*xS) + cw'*xW) + cn'*xN, east and south from
+  the previous sweep, west and north from this one.  Pixel (i, j) reads
+  only its west and north neighbours from the current sweep, so all pixels
+  on one anti-diagonal i + j = d can be updated at once (the hyperplane or
+  wavefront method, Lamport 1974).  A sweep forms the east and south part
+  of every pixel in four numpy calls, then runs one anti-diagonal at a
+  time, four elementwise calls each, for the west and north part.
 
 In exact arithmetic both solvers' iterates equal those of the same solver
 started from U on the full right-hand side.  Both are one call to _solve,
@@ -269,79 +270,84 @@ def _sheared_image(plane: np.ndarray) -> np.ndarray:
 class GaussSeidelSystem(_System):
     """Five-point system data reused across Gauss-Seidel solves.
 
-    Besides w, theta and beta*theta (see _System), holds the
-    beta*theta-scaled neighbour coefficients and the inverted diagonal of
-    one weight field in sheared (2n+1, n+2) planes whose row
-    d+1 holds anti-diagonal d contiguously, with zero padding for the
-    neighbours beyond the boundary.  The west and north neighbours of a
-    diagonal then sit in the row before it, the east and south ones in the
-    row after.  A sweep forms every east and south product in one numpy
-    call, since those neighbours still hold the previous iterate when
-    their diagonal is reached; each diagonal then takes its west and north
-    products, the sum and the scale by the inverted diagonal, in four
-    numpy calls (three of them one-dimensional) through views made here
-    once.
+    Besides w, theta and beta*theta (see _System), holds the diagonal
+    diag = 1 + beta*theta*(ce + cw + cs + cn) of one weight field and the
+    Jacobi-scaled neighbour coefficients beta*theta*c/diag, each in a
+    sheared (2n+1, n+2) plane whose row d+1 holds anti-diagonal d
+    contiguously, with zero padding for the neighbours beyond the
+    boundary.  The west and north neighbours of a diagonal then sit in the
+    row before it, the east and south ones in the row after.  A sweep
+    forms every pixel's east and south part in four one-dimensional numpy
+    calls over whole planes, since those neighbours still hold the
+    previous iterate when their diagonal is reached; each diagonal then
+    adds its west and north products in four one-dimensional calls.  All
+    are views made here once.
 
-    The iterate and right-hand-side buffers live in the system too, so one
-    system serves one solve at a time: starting a second iterates
-    generator overwrites the first one's iterate.
+    The iterate, right-hand-side and partial-sum buffers live in the system
+    too, so one system serves one solve at a time: starting a second
+    iterates generator overwrites the first one's iterate.
     """
 
     def __init__(self, w: WeightField, beta: float, theta: float):
         super().__init__(w, beta, theta)
         n, bt = w.n, self.bt
         ce, cw, cs, cn = _stencil_coeffs(w)
-        diag = 1.0 + bt * (ce + cw + cs + cn)
+        self._diag = 1.0 + bt * (ce + cw + cs + cn)
         rows, cols = 2 * n + 1, n + 2
-        coef = np.zeros((rows, 5, cols))
-        for q, c in enumerate((bt * cn, bt * cw, bt * ce, bt * cs, 1.0 / diag)):
-            _sheared_image(coef[:, q, :])[...] = c
-        # per pixel b, cw*xW, ce*xE, cn*xN, cs*xS: the order in which the
-        # update adds them.  An axis-0 reduction over this strided block adds
-        # them one after another with numpy 2.x, also on the one-pixel corner
-        # diagonals; numpy does not promise that order, so
-        # test_gauss_seidel_bitwise_equals_reference_loop guards it.  Unless
-        # given an initial value the reduction starts from +0.0; -0.0 leaves
-        # every b unchanged, so five -0.0 terms sum to -0.0 as in the loop.
-        terms = np.zeros((rows, 5, cols))
-        x = np.zeros((rows, cols))
-        # pairs[c, :, r] = (x[c, r], x[c, r + 1]): the east and south
-        # neighbours of the pixel at x[c - 1, r]
-        pairs = as_strided(
-            x, shape=(rows, 2, cols - 1), strides=(x.strides[0],) + 2 * (x.strides[1],)
+        coef = np.zeros((4, rows, cols))
+        for plane, c in zip(coef, (ce, cs, cw, cn)):
+            _sheared_image(plane)[...] = bt * c / self._diag
+        ce, cs, cw, cn = coef
+        b, pre, tmp, x = np.zeros((4, rows, cols))
+        self._b, self._x = _sheared_image(b), _sheared_image(x)
+        # the pixel at flat index k of a plane has its east neighbour at
+        # k + cols and its south one at k + cols + 1, so the east and south
+        # part is taken over one contiguous run of every plane, rows 1 to
+        # 2n-1; where that run wraps from one row to the next it lands in a
+        # padding column, whose coefficients are zero and whose pre no
+        # diagonal reads
+        def run(plane, shift=0):
+            return plane.ravel()[cols + shift : (rows - 1) * cols - 1 + shift]
+
+        self._east_south = (
+            run(ce), run(x, cols), run(cs), run(x, cols + 1), run(b), run(pre), run(tmp)
         )
-        self._east_south = (coef[1:-1, 2:4, :-1], pairs[2:], terms[1:-1, 2::2, :-1])
-        self._b = _sheared_image(terms[:, 0, :])
-        self._x = _sheared_image(x)
         self._diagonals = []
         for c in range(1, 2 * n):
             lo, hi = max(1, c - n + 1), min(c, n) + 1
             self._diagonals.append((
-                coef[c, 0, lo:hi], x[c - 1, lo - 1 : hi - 1], terms[c, 3, lo:hi],
-                coef[c, 1, lo:hi], x[c - 1, lo:hi], terms[c, 1, lo:hi],
-                terms[c, :, lo:hi], x[c, lo:hi], coef[c, 4, lo:hi],
+                cw[c, lo:hi], x[c - 1, lo:hi], cn[c, lo:hi], x[c - 1, lo - 1 : hi - 1],
+                pre[c, lo:hi], x[c, lo:hi],
             ))
 
     def iterates(self, v: np.ndarray, h: np.ndarray, u: np.ndarray):
         """Endless generator of the flattened U + delta after each forward sweep.
 
         Sweeps (I - beta*theta*Lap_w) delta = b for the change delta = X - U
-        from 0, with b = _change_rhs(v, h, U).  Each sweep runs the
-        lexicographic per-pixel sweep one anti-diagonal at a time, with the
-        per-pixel arithmetic in its order, so each delta equals that loop's
-        bit for bit.  The east and south products are taken for all
-        diagonals before the first is updated.
+        from 0, with b = _change_rhs(v, h, U), each row divided by its
+        diagonal: with c' = beta*theta*c/diag, pixel (i, j) takes
+        (((b/diag + ce'*xE) + cs'*xS) + cw'*xW) + cn'*xN, east and south
+        from the previous sweep, west and north from this one.  b/diag is
+        formed once per solve, the east and south part once per sweep for
+        every pixel, and each anti-diagonal then takes its west and north
+        products and sums in four elementwise calls.
         """
-        self._b[...] = self._change_rhs(v, h, u)
+        np.divide(self._change_rhs(v, h, u), self._diag, out=self._b)
         self._x[...] = 0.0
-        multiply, sum_rows = np.multiply, np.add.reduce
+        multiply, add = np.multiply, np.add
+        ce, xe, cs, xs, b, pre, tmp = self._east_south
         while True:
-            multiply(*self._east_south)
-            for cn, xn, tn, cw, xw, tw, t, xd, inv_diag in self._diagonals:
-                multiply(cn, xn, tn)
-                multiply(cw, xw, tw)
-                sum_rows(t, 0, None, xd, initial=-0.0)
-                multiply(xd, inv_diag, xd)
+            multiply(ce, xe, pre)
+            add(b, pre, pre)
+            multiply(cs, xs, tmp)
+            add(pre, tmp, pre)
+            # once added, a diagonal's east and south part is spent, and its
+            # row of pre takes the north product
+            for cw, xw, cn, xn, p, xd in self._diagonals:
+                multiply(cw, xw, xd)
+                add(p, xd, xd)
+                multiply(cn, xn, p)
+                add(xd, p, xd)
             yield (u + self._x).ravel()
 
 
@@ -349,13 +355,13 @@ def gauss_seidel_solve(v, h, u, cfg, system: GaussSeidelSystem):
     """Forward Gauss-Seidel sweeps on the same system, lexicographic order.
 
     Solves (I - beta*theta*Lap_w) X = v + beta*theta*div_w(h + grad_w U)
-    for the change X - U from 0, on b = (v - U) + beta*theta*div_w(h);
-    valid for any theta >= 0 thanks to strict diagonal dominance.  system,
-    the GaussSeidelSystem that holds the weights, beta and theta, yields
-    the iterates U + delta; it holds the sweeps' buffers too, so it must
-    serve one solve at a time.  Stops by the shared rule of _solve, reading
-    only tau and max_inner from cfg, the run's SolverConfig.  Returns
-    (solution, sweeps).
+    for the change X - U from 0, on b = (v - U) + beta*theta*div_w(h),
+    each row divided by its diagonal; valid for any theta >= 0 thanks to
+    strict diagonal dominance.  system, the GaussSeidelSystem that holds
+    the weights, beta and theta, yields the iterates U + delta; it holds
+    the sweeps' buffers too, so it must serve one solve at a time.  Stops
+    by the shared rule of _solve, reading only tau and max_inner from cfg,
+    the run's SolverConfig.  Returns (solution, sweeps).
     """
     return _solve(system.iterates(v, h, u), u, cfg)
 

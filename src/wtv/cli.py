@@ -26,13 +26,13 @@ from .bregman import INNER_SOLVERS
 from .errors import ConfigError, DivergenceError
 from .forward_backward import SolverConfig, afb_solve
 from .grid import write_grid, write_pgm
-from .operators import FourierMaskModel, GaussianBlurModel, radial_mask
+from .operators import MIN_MASK_N, FourierMaskModel, GaussianBlurModel, radial_mask
 from .testdata import NoiseSpec, add_gaussian_noise, piecewise_test_image, shepp_logan
 
 __all__ = ["ExperimentConfig", "run_experiment", "sweep_lambda", "main"]
 
 # each problem with its smallest side length: the deblur test image needs 32
-MIN_N = {"deblur": 32, "cs_mri": 16}
+MIN_N = {"deblur": 32, "cs_mri": MIN_MASK_N}
 PROBLEMS = tuple(MIN_N)
 
 ENV_OUTPUT_ROOT = "WTV_OUTPUT_ROOT"
@@ -291,6 +291,7 @@ def sweep_lambda(cfg: ExperimentConfig, lambdas):
                 "psnr": trace.psnr[-1],
                 "seconds": trace.cum_seconds[-1],
                 "fb_iters": trace.iterations[-1],
+                "converged": trace.rel_change[-1] < scfg.epsilon,
             }
         )
         print(
@@ -298,11 +299,11 @@ def sweep_lambda(cfg: ExperimentConfig, lambdas):
             f"{trace.iterations[-1]} iterations"
         )
     with open(_output_path(outdir, "lambda_sweep.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("lambda,psnr,seconds,fb_iters\n")
+        fh.write("lambda,psnr,seconds,fb_iters,converged\n")
         for row in rows:
             fh.write(
                 f"{row['lam']!r},{_fmt_psnr(row['psnr'])},"
-                f"{row['seconds']:.3f},{row['fb_iters']}\n"
+                f"{row['seconds']:.3f},{row['fb_iters']},{int(row['converged'])}\n"
             )
     best = max(rows, key=lambda r: r["psnr"])
     print(f"best: lambda={best['lam']!r} at {_fmt_psnr(best['psnr'])} dB")
@@ -327,6 +328,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mask(args) -> int:
+    # named by the verb's flags: radial_mask's own messages name config keys
+    for flag, value, least in (("--lines", args.lines, 1), ("--n", args.n, MIN_MASK_N)):
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
     mask, pct = radial_mask(args.n, args.lines)
     write_grid(args.out, mask)
     if args.pgm:

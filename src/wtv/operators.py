@@ -24,6 +24,7 @@ __all__ = [
     "FourierMaskModel",
     "gaussian_kernel",
     "radial_mask",
+    "MIN_MASK_N",
     "power_method",
 ]
 
@@ -142,6 +143,10 @@ class FourierMaskModel(ForwardModel):
         return np.fft.ifft2(self.mask * data, norm="ortho").real
 
 
+# the smallest side radial_mask accepts
+MIN_MASK_N = 16
+
+
 def radial_mask(n: int, lines: int):
     """Binary spectral mask of radial lines through DC.
 
@@ -154,8 +159,8 @@ def radial_mask(n: int, lines: int):
     DC sits at [0, 0].  Returns (mask, sampling percentage).  A rejected
     line count is named by its config key, mask_lines.
     """
-    if n < 16:
-        raise ConfigError(f"mask side must be at least 16, got {n}")
+    if n < MIN_MASK_N:
+        raise ConfigError(f"mask side must be at least {MIN_MASK_N}, got {n}")
     if lines < 1:
         raise ConfigError(f"mask_lines must be at least 1, got {lines}")
     c = n // 2

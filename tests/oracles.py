@@ -8,7 +8,8 @@ are the weighted difference operators written on the (n, n) image with
 2-D slices, the formulas the flat operators in wtv.grid must reproduce
 bit for bit.  laplacian_w evaluates the five-point stencil directly,
 objective_backward is the backward subproblem's objective, normal_matrix
-assembles a forward model's normal operator, residual_form_wsb is the
+assembles a forward model's normal operator, gauss_seidel_step is one
+dense lexicographic Gauss-Seidel sweep, residual_form_wsb is the
 split-Bregman loop in its textbook residual form on dense matrices,
 read_grid reads the binary grid files that wtv.grid.write_grid writes,
 and benchmark_literal reads a constant of the benchmark's own files.
@@ -85,6 +86,16 @@ def normal_matrix(model) -> np.ndarray:
     return out
 
 
+def gauss_seidel_step(a: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One lexicographic Gauss-Seidel sweep on the dense system a X = c from x.
+
+    Solves tril(a) X = c - (a - tril(a)) x by a dense factorisation, so it
+    shares neither the order of a sweep nor its arithmetic.
+    """
+    lower = np.tril(a)
+    return np.linalg.solve(lower, c - (a - lower) @ x)
+
+
 def residual_form_wsb(v: np.ndarray, system, cfg, relaxed: bool):
     """The split-Bregman loop as the textbook writes it, on dense matrices.
 
@@ -102,7 +113,6 @@ def residual_form_wsb(v: np.ndarray, system, cfg, relaxed: bool):
     gx, gy = grad_matrices(system.w)
     g = np.vstack((gx, gy))
     a = np.eye(g.shape[1]) + system.bt * (g.T @ g)
-    lower = np.tril(a)
     lvl = cfg.lam / system.theta
 
     def done(diff, ref):
@@ -119,7 +129,7 @@ def residual_form_wsb(v: np.ndarray, system, cfg, relaxed: bool):
             if relaxed:
                 x_new = x + system.omega * (c - a @ x)
             else:
-                x_new = np.linalg.solve(lower, c - (a - lower) @ x)
+                x_new = gauss_seidel_step(a, c, x)
             stop = done(x_new - x, x)
             x = x_new
             if stop:

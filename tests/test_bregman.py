@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     direct_solve,
+    gauss_seidel_step,
+    grad_matrices,
     laplacian_matrix,
     objective_backward,
     record_changes,
@@ -174,17 +176,21 @@ def _reference_fwsb(v, h, u, system, omega):
 
 def _reference_gauss_seidel(b, u, system):
     """Iterates u + delta of lexicographic Gauss-Seidel one pixel at a time
-    on system's w and beta*theta, from delta = 0."""
+    on system's w and beta*theta, from delta = 0, each row divided by its
+    diagonal: pixel (i, j) takes (((b/diag + ce'*xE) + cs'*xS) + cw'*xW)
+    + cn'*xN with c' = beta*theta*c/diag."""
     n, bt = b.shape[0], system.bt
     ce, cw, cs, cn = _stencil_coeffs(system.w)
-    inv_diag = 1.0 / (1.0 + bt * (ce + cw + cs + cn))
+    diag = 1.0 + bt * (ce + cw + cs + cn)
+    ce, cw, cs, cn = (bt * c / diag for c in (ce, cw, cs, cn))
+    b = b / diag
     x = np.zeros((n + 2, n + 2))  # zero ring: reads beyond the grid
     while True:
         for i, j in np.ndindex(n, n):
             x[i + 1, j + 1] = (
-                b[i, j] + bt * cw[i, j] * x[i + 1, j] + bt * ce[i, j] * x[i + 1, j + 2]
-                + bt * cn[i, j] * x[i, j + 1] + bt * cs[i, j] * x[i + 2, j + 1]
-            ) * inv_diag[i, j]
+                b[i, j] + ce[i, j] * x[i + 1, j + 2] + cs[i, j] * x[i + 2, j + 1]
+                + cw[i, j] * x[i + 1, j] + cn[i, j] * x[i, j + 1]
+            )
         yield u + x[1:-1, 1:-1]
 
 
@@ -333,6 +339,27 @@ class TestInnerSolvers:
         assert (m < max_inner) == (max_inner == 500)
         assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 32])
+    def test_gauss_seidel_sweeps_match_dense_step(self, rng, random_weights, n):
+        # the per-pixel reference above is written in the sweep's own
+        # scaled order, so a mistake in that order would pass it; the dense
+        # lexicographic step shares neither order nor arithmetic.  The
+        # first three sweeps from delta = 0 agree with it to rounding, down
+        # to the one-pixel corner diagonals.  U = 0, so each iterate is
+        # delta itself
+        w = random_weights(n)
+        beta = 0.9
+        theta = 0.7 * theta_bound(w, beta)
+        system = GaussSeidelSystem(w, beta, theta)
+        _, _, v, h = _random_system(rng, system)
+        gx, gy = grad_matrices(w)
+        c = v.ravel() + system.bt * (np.vstack((gx, gy)).T @ h.ravel())
+        a = system_matrix(w, beta, theta)
+        delta = np.zeros(n * n)
+        for _, x in zip(range(3), system.iterates(v, h, np.zeros((n, n)))):
+            delta = gauss_seidel_step(a, c, delta)
+            assert np.linalg.norm(x - delta) <= 1e-13 * np.linalg.norm(delta)
+
     @pytest.mark.parametrize("n", [3, 8])
     @pytest.mark.parametrize("kind", ["zeros", "underflow"])
     def test_gauss_seidel_signed_zeros_equal_reference_loop(
@@ -343,8 +370,8 @@ class TestInnerSolvers:
         # underflow: b alternates the smallest negative subnormal with
         # -0.0, so products underflow to -0.0, and from the second sweep on
         # all five terms of the sum are -0.0 on half the pixels; only a sum
-        # that starts from b itself keeps that sign.  The iterates are drawn
-        # from the system directly: the stopping rule would end at the
+        # that starts from b/diag itself keeps that sign.  The iterates are
+        # drawn from the system directly: the stopping rule would end at the
         # first, whose change is below any tau.  The system's right-hand
         # side is substituted, since none formed from (v, h, U) holds a
         # -0.0 pattern

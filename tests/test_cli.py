@@ -281,8 +281,18 @@ class TestSweep:
         assert [r["lam"] for r in rows] == [1e-3, 5e-4]
         assert best["psnr"] == max(r["psnr"] for r in rows)
         lines = (tmp_path / "lambda_sweep.csv").read_text().strip().splitlines()
-        assert lines[0] == "lambda,psnr,seconds,fb_iters"
+        assert lines[0] == "lambda,psnr,seconds,fb_iters,converged"
         assert len(lines) == 3
+
+    def test_converged_column(self, tmp_path):
+        # summary.csv's rule: 1 when the last relative change is below
+        # epsilon, 0 when the run used up max_fb.  At epsilon = 1e-2,
+        # lambda = 1e-3 gets there at step 9 (8.9e-3), while lambda = 1 is
+        # still at 1.4e-2 on step 10
+        cfg = tiny_experiment(tmp_path, epsilon=1e-2)
+        sweep_lambda(replace(cfg, solver=replace(cfg.solver, max_fb=10)), [1e-3, 1.0])
+        lines = (tmp_path / "lambda_sweep.csv").read_text().strip().splitlines()
+        assert [line.split(",")[3:] for line in lines[1:]] == [["9", "1"], ["10", "0"]]
 
     def test_empty_sweep_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one"):
@@ -334,6 +344,19 @@ class TestMain:
         assert mask.shape == (32, 32)
         assert set(np.unique(mask)) <= {0.0, 1.0}
         assert pgm.is_file()
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--lines", "0"], "--lines must be at least 1, got 0"),
+         (["--n", "8"], "--n must be at least 16, got 8")],
+        ids=["lines", "n"],
+    )
+    def test_mask_bad_flag_exits_two_naming_it(self, tmp_path, capsys, flags, named):
+        # the verb names its own flags, not the config keys
+        out = tmp_path / "mask.grid"
+        assert main(["mask", "--lines", "4", "--n", "32", "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"configuration error: {named}\n"
+        assert not out.exists()
 
     def test_fixtures_verb(self, tmp_path):
         assert main(["fixtures", "--out", str(tmp_path / "fix"), "--n", "32"]) == 0
