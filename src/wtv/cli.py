@@ -9,6 +9,11 @@ experiments and of the lambda sweeps.  Verbs:
     mask --lines L --n N --out F write a radial sampling mask
     fixtures --out DIR           export the bundled test images
 
+run and sweep share one solve-and-record path: _solve turns a solve into
+the result row whose psnr,seconds,fb_iters,converged columns end both
+summary.csv and lambda_sweep.csv, _fmt_result formats those columns, and
+_write_csv writes every CSV file.
+
 Exit codes: 0 success, 2 bad configuration, 3 every solver diverged (run)
 or a solve diverged (sweep), 4 file I/O failure.  Relative output
 directories are resolved against $WTV_OUTPUT_ROOT when it is set.
@@ -205,16 +210,33 @@ def _fmt_psnr(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _write_trace(path, trace) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("n,psnr,objective,rel_change,cum_seconds,inner_iters,alpha,sweeps\n")
-        for i in range(len(trace)):
-            fh.write(
-                f"{trace.iterations[i]},{_fmt_psnr(trace.psnr[i])},"
-                f"{trace.objective[i]:.10e},{trace.rel_change[i]:.6e},"
-                f"{trace.cum_seconds[i]:.3f},{trace.inner_iters[i]},"
-                f"{trace.alpha[i]!r},{trace.sweeps[i]}\n"
-            )
+def _solve(model, data, truth, scfg):
+    """Solve one built problem; returns u, its trace and the result row.
+
+    The row holds the columns that summary.csv and lambda_sweep.csv share:
+    final psnr, wall seconds, forward-backward steps, and whether the run
+    stopped by epsilon rather than by max_fb.
+    """
+    u, trace = afb_solve(model, data, scfg, reference=truth)
+    row = {
+        "psnr": trace.psnr[-1],
+        "seconds": trace.cum_seconds[-1],
+        "fb_iters": trace.iterations[-1],
+        "converged": trace.rel_change[-1] < scfg.epsilon,
+    }
+    return u, trace, row
+
+
+def _fmt_result(row) -> str:
+    """The shared columns psnr,seconds,fb_iters,converged of a result row."""
+    return (f"{_fmt_psnr(row['psnr'])},{row['seconds']:.3f},"
+            f"{row['fb_iters']},{int(row['converged'])}")
+
+
+def _write_csv(outdir: str, name: str, header: str, lines) -> None:
+    with open(_output_path(outdir, name), "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -223,41 +245,26 @@ def run_experiment(cfg: ExperimentConfig):
     outdir = resolve_outdir(cfg.outdir)
     rows = []
     for name in cfg.solvers:
-        scfg = replace(cfg.solver, inner=name)
         try:
-            u, trace = afb_solve(model, data, scfg, reference=truth)
+            u, trace, row = _solve(model, data, truth, replace(cfg.solver, inner=name))
         except DivergenceError as exc:
             rows.append({"solver": name, "status": "diverged", "detail": str(exc)})
             print(f"{name}: diverged ({exc})", file=sys.stderr)
             continue
-        _write_trace(_output_path(outdir, f"trace_{name}.csv"), trace)
+        _write_csv(outdir, f"trace_{name}.csv",
+                   "n,psnr,objective,rel_change,cum_seconds,inner_iters,alpha,sweeps",
+                   (f"{trace.iterations[i]},{_fmt_psnr(trace.psnr[i])},"
+                    f"{trace.objective[i]:.10e},{trace.rel_change[i]:.6e},"
+                    f"{trace.cum_seconds[i]:.3f},{trace.inner_iters[i]},"
+                    f"{trace.alpha[i]!r},{trace.sweeps[i]}" for i in range(len(trace))))
         write_pgm(_output_path(outdir, f"recon_{name}.pgm"), u)
         write_grid(_output_path(outdir, f"recon_{name}.grid"), u)
-        rows.append(
-            {
-                "solver": name,
-                "status": "ok",
-                "psnr": trace.psnr[-1],
-                "seconds": trace.cum_seconds[-1],
-                "fb_iters": trace.iterations[-1],
-                "converged": trace.rel_change[-1] < scfg.epsilon,
-            }
-        )
-        print(
-            f"{name}: psnr={_fmt_psnr(trace.psnr[-1])} dB, "
-            f"{trace.cum_seconds[-1]:.3f} s, {trace.iterations[-1]} iterations"
-        )
-    with open(_output_path(outdir, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("solver,status,psnr,seconds,fb_iters,converged\n")
-        for row in rows:
-            if row["status"] == "ok":
-                fh.write(
-                    f"{row['solver']},ok,{_fmt_psnr(row['psnr'])},"
-                    f"{row['seconds']:.3f},{row['fb_iters']},"
-                    f"{int(row['converged'])}\n"
-                )
-            else:
-                fh.write(f"{row['solver']},diverged,,,,\n")
+        rows.append({"solver": name, "status": "ok", **row})
+        print(f"{name}: psnr={_fmt_psnr(row['psnr'])} dB, "
+              f"{row['seconds']:.3f} s, {row['fb_iters']} iterations")
+    _write_csv(outdir, "summary.csv", "solver,status,psnr,seconds,fb_iters,converged",
+               (f"{r['solver']},ok,{_fmt_result(r)}" if r["status"] == "ok"
+                else f"{r['solver']},diverged,,,," for r in rows))
     with open(_output_path(outdir, "config_resolved.cfg"), "w", encoding="utf-8") as fh:
         fh.write(serialize_config(cfg))
         for key, value in extras.items():
@@ -278,33 +285,17 @@ def sweep_lambda(cfg: ExperimentConfig, lambdas):
         raise ConfigError(f"bad lambda value: {exc}") from None
     if not values:
         raise ConfigError("lambda sweep needs at least one value")
-    primary = cfg.solvers[0]
-    solver_cfgs = [replace(cfg.solver, inner=primary, lam=lam, r0=None) for lam in values]
+    solver_cfgs = [replace(cfg.solver, inner=cfg.solvers[0], lam=lam) for lam in values]
     truth, model, data, _ = build_problem(cfg)
-    outdir = resolve_outdir(cfg.outdir)
     rows = []
     for scfg in solver_cfgs:
-        u, trace = afb_solve(model, data, scfg, reference=truth)
-        rows.append(
-            {
-                "lam": scfg.lam,
-                "psnr": trace.psnr[-1],
-                "seconds": trace.cum_seconds[-1],
-                "fb_iters": trace.iterations[-1],
-                "converged": trace.rel_change[-1] < scfg.epsilon,
-            }
-        )
-        print(
-            f"lambda={scfg.lam!r}: psnr={_fmt_psnr(trace.psnr[-1])} dB, "
-            f"{trace.iterations[-1]} iterations"
-        )
-    with open(_output_path(outdir, "lambda_sweep.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("lambda,psnr,seconds,fb_iters,converged\n")
-        for row in rows:
-            fh.write(
-                f"{row['lam']!r},{_fmt_psnr(row['psnr'])},"
-                f"{row['seconds']:.3f},{row['fb_iters']},{int(row['converged'])}\n"
-            )
+        _, _, row = _solve(model, data, truth, scfg)
+        rows.append({"lam": scfg.lam, **row})
+        print(f"lambda={scfg.lam!r}: psnr={_fmt_psnr(row['psnr'])} dB, "
+              f"{row['fb_iters']} iterations")
+    _write_csv(resolve_outdir(cfg.outdir), "lambda_sweep.csv",
+               "lambda,psnr,seconds,fb_iters,converged",
+               (f"{r['lam']!r},{_fmt_result(r)}" for r in rows))
     best = max(rows, key=lambda r: r["psnr"])
     print(f"best: lambda={best['lam']!r} at {_fmt_psnr(best['psnr'])} dB")
     return rows, best

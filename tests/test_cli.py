@@ -19,7 +19,7 @@ from wtv.cli import (
     sweep_lambda,
 )
 from wtv.errors import ConfigError, DivergenceError
-from wtv.forward_backward import SolverConfig
+from wtv.forward_backward import SolverConfig, afb_solve
 
 from oracles import benchmark_literal, read_grid
 from test_acceptance import CRITERION_7_SOLVER, CRITERION_8_SOLVER
@@ -298,6 +298,22 @@ class TestSweep:
         with pytest.raises(ConfigError, match="at least one"):
             sweep_lambda(tiny_experiment(tmp_path), [])
 
+    def test_shared_columns_match_summary(self, tmp_path):
+        # run and sweep write psnr,seconds,fb_iters,converged by one code
+        # path, so a sweep at the config's own lambda repeats run's row
+        run_experiment(tiny_experiment(tmp_path / "run"))
+        cfg = tiny_experiment(tmp_path / "sweep")
+        sweep_lambda(cfg, [cfg.solver.lam])
+        summary = (tmp_path / "run" / "summary.csv").read_text().splitlines()
+        curve = (tmp_path / "sweep" / "lambda_sweep.csv").read_text().splitlines()
+        assert summary[0].split(",")[2:] == curve[0].split(",")[1:]
+        assert len(summary) == len(curve) == 2
+        ran = summary[1].split(",")[2:]
+        swept = curve[1].split(",")[1:]
+        for fields in (ran, swept):
+            assert re.fullmatch(r"\d+\.\d{3}", fields[1]), fields
+        assert ran[:1] + ran[2:] == swept[:1] + swept[2:]
+
 
 class TestOutputRoot:
     def test_relative_joined(self, monkeypatch, tmp_path):
@@ -395,7 +411,30 @@ class TestMain:
         assert main(["run", str(cfg_path)]) == 3
         assert "diverged" in capsys.readouterr().err
         summary = (tmp_path / "out" / "summary.csv").read_text()
-        assert "fwsb,diverged" in summary
+        assert summary == "solver,status,psnr,seconds,fb_iters,converged\nfwsb,diverged,,,,\n"
+
+    def test_some_diverged_run_goes_on(self, tmp_path, monkeypatch, capsys):
+        # a diverged solver gets a row with empty results; the others are
+        # written as usual and the run exits 0
+        def gauss_seidel_explodes(model, data, scfg, reference=None):
+            if scfg.inner == "gauss_seidel":
+                raise DivergenceError("iterate became non-finite", iteration=2)
+            return afb_solve(model, data, scfg, reference=reference)
+
+        monkeypatch.setattr("wtv.cli.afb_solve", gauss_seidel_explodes)
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(tiny_config_text(out, solvers="fwsb,gauss_seidel"))
+        assert main(["run", str(cfg_path)]) == 0
+        assert "gauss_seidel: diverged" in capsys.readouterr().err
+        header, ok, diverged = (out / "summary.csv").read_text().splitlines()
+        assert header == "solver,status,psnr,seconds,fb_iters,converged"
+        assert ok.startswith("fwsb,ok,") and ok.count(",") == header.count(",")
+        assert diverged == "gauss_seidel,diverged,,,,"
+        assert diverged.count(",") == header.count(",")
+        for name in ("trace_fwsb.csv", "recon_fwsb.pgm", "recon_fwsb.grid"):
+            assert (out / name).is_file(), name
+        assert not (out / "trace_gauss_seidel.csv").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_sweep_divergence_exits_three(self, tmp_path, monkeypatch, capsys):
@@ -522,6 +561,17 @@ class TestMain:
     def test_unwritable_mask_exits_four(self, tmp_path):
         out = tmp_path / "no" / "such" / "dir" / "m.grid"
         assert main(["mask", "--lines", "2", "--n", "16", "--out", str(out)]) == 4
+
+    @pytest.mark.parametrize("verb", [["run"], ["sweep", "--lambda", "1e-3"]], ids=["run", "sweep"])
+    def test_outdir_under_a_file_exits_four(self, tmp_path, capsys, verb):
+        # the output directory cannot be made: its parent is a regular file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(tiny_config_text(blocker / "out"))
+        assert main([verb[0], str(cfg_path), *verb[1:]]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: ")
 
 
 class TestPresetConfigs:
