@@ -11,7 +11,8 @@ Bregman variables.  Each outer sweep takes a linear solve of
 
 for the residual r = d - e of the auxiliary field d and the Bregman field
 e, then shrinks.  wsb_solve carries neither r nor d.  It carries U, e and
-h = r - grad_w(U), each difference field stacked as one (2, n, n) array.
+h = r - grad_w(U), each difference field one stacked (2, n, n) array,
+the form grad_w returns and div_w takes.
 Since d = soft(z) = z - cut(z) for z = grad_w(U) + e_prev, the shrink's
 e = cut(z) gives h = e_prev - 2e: grad_w(U) enters only through cut.  The
 two fields live in two buffers allocated once per call and updated in
@@ -27,7 +28,8 @@ Each prepared system, built once per weight field, holds the weights w,
 theta and beta*theta, forms every right-hand side it needs by one
 method, _change_rhs(v, h, U) = (v - U) + beta*theta*div_w(h), and offers
 one method to the solvers, iterates(v, h, U): an endless generator of
-the flattened iterate U + delta after each step.
+the iterate U + delta, an (n, n) image, after each step.  theta must be
+positive, so the shrink level lam/theta always exists.
 The loop's own settings, lam, tau and the iteration caps, are fields of
 the run's forward_backward.SolverConfig, the one settings object of a
 solve; this module reads no other field of it.  Two interchangeable
@@ -155,15 +157,15 @@ def _norm(x: np.ndarray) -> float:
 class _System:
     """The weights w, theta and bt = beta*theta of one system I - bt*Lap_w.
 
-    Checks beta > 0 and theta finite and >= 0, and raises ConfigError
-    otherwise.  theta == 0 is the identity system.
+    Checks beta > 0 and theta finite and > 0, and raises ConfigError
+    otherwise: wsb_solve shrinks at the level lam/theta.
     """
 
     def __init__(self, w: WeightField, beta: float, theta: float):
         if not beta > 0:
             raise ConfigError(f"beta must be positive, got {beta}")
-        if not (np.isfinite(theta) and theta >= 0):
-            raise ConfigError(f"theta must be finite and >= 0, got {theta}")
+        if not (np.isfinite(theta) and theta > 0):
+            raise ConfigError(f"theta must be finite and > 0, got {theta}")
         self.w, self.theta, self.bt = w, theta, beta * theta
 
     def _change_rhs(self, v: np.ndarray, h: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -172,7 +174,7 @@ class _System:
 
         With the carried h it is the right-hand side b of the change X - U.
         """
-        b = div_w(h[0], h[1], self.w)
+        b = div_w(h, self.w)
         b *= self.bt
         b += v
         b -= u
@@ -205,7 +207,7 @@ class FwsbSystem(_System):
         self.omega = 2.0 / (2.0 + theta / bound)
 
     def iterates(self, v: np.ndarray, h: np.ndarray, u: np.ndarray):
-        """Endless generator of the flattened iterate after each relaxed step from U.
+        """Endless generator of the (n, n) iterate after each relaxed step from U.
 
         Solves for the change X - U from 0, whose right-hand side is
         b = (v - U) + beta*theta*div_w(h), with h stacked (2, n, n).  Each
@@ -221,7 +223,7 @@ class FwsbSystem(_System):
             x_new *= self.omega
             x_new += x
             x = x_new
-            yield x.ravel()
+            yield x
             d = grad_w(x - u, self.w)
             np.subtract(h, d, out=d)
 
@@ -229,16 +231,17 @@ class FwsbSystem(_System):
 def _solve(iterates, x0: np.ndarray, cfg):
     """The stopping rule of both linear solvers.
 
-    Draws from iterates, a system's generator started from x0, until the
-    iterate's relative change falls below cfg.tau or cfg.max_inner is
-    reached, cfg being the run's SolverConfig.  The test is skipped on the
-    last allowed iteration, where it cannot change what is returned.
-    Returns (solution, iterations).
+    Draws from iterates, a system's generator of (n, n) images started
+    from x0, until the iterate's relative change falls below cfg.tau or
+    cfg.max_inner is reached, cfg being the run's SolverConfig.  The test
+    is skipped on the last allowed iteration, where it cannot change what
+    is returned.  Returns (solution, iterations), the solution being the
+    last iterate drawn.
     """
-    prev = x0.ravel()
+    prev = x0
     for m, x in enumerate(iterates, 1):
         if m == cfg.max_inner or _rel_change_done(_norm(x - prev), _norm(prev), cfg.tau):
-            return x.reshape(x0.shape), m
+            return x, m
         prev = x
 
 
@@ -321,7 +324,7 @@ class GaussSeidelSystem(_System):
             ))
 
     def iterates(self, v: np.ndarray, h: np.ndarray, u: np.ndarray):
-        """Endless generator of the flattened U + delta after each forward sweep.
+        """Endless generator of the (n, n) image U + delta after each forward sweep.
 
         Sweeps (I - beta*theta*Lap_w) delta = b for the change delta = X - U
         from 0, with b = _change_rhs(v, h, U), each row divided by its
@@ -348,7 +351,7 @@ class GaussSeidelSystem(_System):
                 add(p, xd, xd)
                 multiply(cn, xn, p)
                 add(xd, p, xd)
-            yield (u + self._x).ravel()
+            yield u + self._x
 
 
 def gauss_seidel_solve(v, h, u, cfg, system: GaussSeidelSystem):
@@ -356,7 +359,7 @@ def gauss_seidel_solve(v, h, u, cfg, system: GaussSeidelSystem):
 
     Solves (I - beta*theta*Lap_w) X = v + beta*theta*div_w(h + grad_w U)
     for the change X - U from 0, on b = (v - U) + beta*theta*div_w(h),
-    each row divided by its diagonal; valid for any theta >= 0 thanks to
+    each row divided by its diagonal; valid for any theta > 0 thanks to
     strict diagonal dominance.  system, the GaussSeidelSystem that holds
     the weights, beta and theta, yields the iterates U + delta; it holds
     the sweeps' buffers too, so it must serve one solve at a time.  Stops
@@ -391,7 +394,7 @@ def wsb_solve(v: np.ndarray, cfg, system: FwsbSystem | GaussSeidelSystem):
     w, theta and beta*theta, and its type picks the linear solver,
     fwsb_linear_solve or gauss_seidel_solve, whatever cfg.inner says; both
     take the same arguments.  The loop looks up the solver, grad_w and
-    cut, and _solve looks up div_w, as module-global names, so a wrapper
+    cut, and _change_rhs looks up div_w, as module-global names, so a wrapper
     bound to a name (a tracer, say) sees every call: per sweep one linear
     solve, one div_w (in the solve's right-hand side), one cut and one
     grad_w, plus one grad_w(v) per call.  It stops once U's relative change falls
@@ -400,15 +403,11 @@ def wsb_solve(v: np.ndarray, cfg, system: FwsbSystem | GaussSeidelSystem):
     solution, and when the linear solve stops after one step its change
     can fall below tau before any shrinkage has entered U.  cfg is the
     run's forward_backward.SolverConfig, of which wsb_solve and the linear
-    solves read only lam, tau, max_outer and max_inner.  theta == 0 (the
-    identity system) leaves the shrink level undefined, so it raises
-    ConfigError unless lam == 0.  Returns (U, total inner iterations,
-    outer sweeps).
+    solves read only lam, tau, max_outer and max_inner.  Returns (U, total
+    inner iterations, outer sweeps).
     """
-    if system.theta == 0 and cfg.lam != 0:
-        raise ConfigError("theta == 0 requires lam == 0")
     w = system.w
-    lvl = cfg.lam / system.theta if system.theta > 0 else 0.0
+    lvl = cfg.lam / system.theta
     solve = fwsb_linear_solve if isinstance(system, FwsbSystem) else gauss_seidel_solve
     e = np.zeros((2, *v.shape))
     h = grad_w(v, w)

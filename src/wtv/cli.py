@@ -12,7 +12,8 @@ experiments and of the lambda sweeps.  Verbs:
 run and sweep share one solve-and-record path: _solve turns a solve into
 the result row whose psnr,seconds,fb_iters,converged columns end both
 summary.csv and lambda_sweep.csv, _fmt_result formats those columns, and
-_write_csv writes every CSV file.
+_write_lines writes every text output, the CSV files and
+config_resolved.cfg.
 
 Exit codes: 0 success, 2 bad configuration, 3 every solver diverged (run)
 or a solve diverged (sweep), 4 file I/O failure.  Relative output
@@ -191,19 +192,21 @@ def _output_path(outdir: str, name: str) -> str:
 
 
 def build_problem(cfg: ExperimentConfig):
-    """Ground truth, forward model and noisy data for a config."""
+    """Ground truth, forward model, noisy data and sampling percentage of a config.
+
+    The percentage is radial_mask's for cs_mri and None for deblur.
+    """
     if cfg.problem == "deblur":
         truth = piecewise_test_image(cfg.n)
         model = GaussianBlurModel(cfg.n, cfg.blur_sigma, cfg.blur_size)
-        extras = {}
+        pct = None
     else:
         truth = shepp_logan(cfg.n)
         mask, pct = radial_mask(cfg.n, cfg.mask_lines)
         model = FourierMaskModel(mask)
-        extras = {"sampling_pct": pct}
     clean = model.apply(truth)
     data = add_gaussian_noise(clean, NoiseSpec(cfg.noise_variance, cfg.seed))
-    return truth, model, data, extras
+    return truth, model, data, pct
 
 
 def _fmt_psnr(value: float) -> str:
@@ -233,15 +236,15 @@ def _fmt_result(row) -> str:
             f"{row['fb_iters']},{int(row['converged'])}")
 
 
-def _write_csv(outdir: str, name: str, header: str, lines) -> None:
+def _write_lines(outdir: str, name: str, lines) -> None:
+    """Write an output file of lines, each ended by one newline."""
     with open(_output_path(outdir, name), "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
         fh.writelines(line + "\n" for line in lines)
 
 
 def run_experiment(cfg: ExperimentConfig):
     """Run every configured solver on the experiment; returns per-solver rows."""
-    truth, model, data, extras = build_problem(cfg)
+    truth, model, data, pct = build_problem(cfg)
     outdir = resolve_outdir(cfg.outdir)
     rows = []
     for name in cfg.solvers:
@@ -251,26 +254,25 @@ def run_experiment(cfg: ExperimentConfig):
             rows.append({"solver": name, "status": "diverged", "detail": str(exc)})
             print(f"{name}: diverged ({exc})", file=sys.stderr)
             continue
-        _write_csv(outdir, f"trace_{name}.csv",
-                   "n,psnr,objective,rel_change,cum_seconds,inner_iters,alpha,sweeps",
-                   (f"{trace.iterations[i]},{_fmt_psnr(trace.psnr[i])},"
-                    f"{trace.objective[i]:.10e},{trace.rel_change[i]:.6e},"
-                    f"{trace.cum_seconds[i]:.3f},{trace.inner_iters[i]},"
-                    f"{trace.alpha[i]!r},{trace.sweeps[i]}" for i in range(len(trace))))
+        _write_lines(outdir, f"trace_{name}.csv", [
+            "n,psnr,objective,rel_change,cum_seconds,inner_iters,alpha,sweeps",
+            *(f"{trace.iterations[i]},{_fmt_psnr(trace.psnr[i])},"
+              f"{trace.objective[i]:.10e},{trace.rel_change[i]:.6e},"
+              f"{trace.cum_seconds[i]:.3f},{trace.inner_iters[i]},"
+              f"{trace.alpha[i]!r},{trace.sweeps[i]}" for i in range(len(trace)))])
         write_pgm(_output_path(outdir, f"recon_{name}.pgm"), u)
         write_grid(_output_path(outdir, f"recon_{name}.grid"), u)
         rows.append({"solver": name, "status": "ok", **row})
         print(f"{name}: psnr={_fmt_psnr(row['psnr'])} dB, "
               f"{row['seconds']:.3f} s, {row['fb_iters']} iterations")
-    _write_csv(outdir, "summary.csv", "solver,status,psnr,seconds,fb_iters,converged",
-               (f"{r['solver']},ok,{_fmt_result(r)}" if r["status"] == "ok"
-                else f"{r['solver']},diverged,,,," for r in rows))
-    with open(_output_path(outdir, "config_resolved.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(cfg))
-        for key, value in extras.items():
-            fh.write(f"# {key} = {value!r}\n")
-    for key, value in extras.items():
-        print(f"{key} = {value}")
+    _write_lines(outdir, "summary.csv", [
+        "solver,status,psnr,seconds,fb_iters,converged",
+        *(f"{r['solver']},ok,{_fmt_result(r)}" if r["status"] == "ok"
+          else f"{r['solver']},diverged,,,," for r in rows)])
+    note = [] if pct is None else [f"# sampling_pct = {pct!r}"]
+    _write_lines(outdir, "config_resolved.cfg", serialize_config(cfg).splitlines() + note)
+    if pct is not None:
+        print(f"sampling_pct = {pct}")
     return rows
 
 
@@ -293,9 +295,9 @@ def sweep_lambda(cfg: ExperimentConfig, lambdas):
         rows.append({"lam": scfg.lam, **row})
         print(f"lambda={scfg.lam!r}: psnr={_fmt_psnr(row['psnr'])} dB, "
               f"{row['fb_iters']} iterations")
-    _write_csv(resolve_outdir(cfg.outdir), "lambda_sweep.csv",
-               "lambda,psnr,seconds,fb_iters,converged",
-               (f"{r['lam']!r},{_fmt_result(r)}" for r in rows))
+    _write_lines(resolve_outdir(cfg.outdir), "lambda_sweep.csv", [
+        "lambda,psnr,seconds,fb_iters,converged",
+        *(f"{r['lam']!r},{_fmt_result(r)}" for r in rows)])
     best = max(rows, key=lambda r: r["psnr"])
     print(f"best: lambda={best['lam']!r} at {_fmt_psnr(best['psnr'])} dB")
     return rows, best

@@ -236,8 +236,8 @@ def afb_solve(
     before the first step.  When lam is unset it is resolved
     from r0 once, into a copy of cfg that every backward step then reads.
     """
-    if z.shape != model.data_shape:
-        raise ConfigError(f"data shape {z.shape} != model {model.data_shape}")
+    if z.shape != (model.n, model.n):
+        raise ConfigError(f"data shape {z.shape} != model ({model.n}, {model.n})")
     lam_max = power_method(model)
     # a model that measures nothing (lam_max = 0) admits any beta
     if lam_max > 0 and not cfg.beta * lam_max < 1.0:

@@ -5,13 +5,15 @@ pixel (i, j) to linear index k = i*n + j.  A weight field carries one positive
 multiplier per pixel and per direction; the weighted gradient applies forward
 differences scaled by those multipliers, with the difference at the last
 column (x) and last row (y) set to zero, i.e. replicate boundary handling.
-grad_w and div_w run on that flattened layout, where the x and y
-neighbours of pixel k sit at k+1 and k+n, so each term is one contiguous
-slice.  Each takes an optional out= array to fill instead of allocating
-its result; it must be C-contiguous with the result's shape and dtype.
+A difference field is one stacked (2, n, n) array, x differences in
+plane 0 and y differences in plane 1: grad_w returns it and div_w takes
+it.  Both run on the flattened layout, where the x and y neighbours of
+pixel k sit at k+1 and k+n, so each term is one contiguous slice.  Each
+takes an optional out= array to fill instead of allocating its result;
+it must be C-contiguous with the result's shape and dtype.
 
-div_w is the exact transpose of grad_w, so <grad_w(u), (gx, gy)> equals
-<u, div_w(gx, gy)> for every input.  The weighted Laplacian is the five-point
+div_w is the exact transpose of grad_w, so <grad_w(u), g> equals
+<u, div_w(g)> for every input.  The weighted Laplacian is the five-point
 operator -(grad_x^T grad_x + grad_y^T grad_y) = -div_w(grad_w(u)), with the
 neighbour coefficients of _stencil_coeffs.  Each of its rows sums
 absolutely to twice the total of those coefficients, which
@@ -109,29 +111,31 @@ def grad_w(u: np.ndarray, w: WeightField, out=None) -> np.ndarray:
     return g
 
 
-def div_w(gx: np.ndarray, gy: np.ndarray, w: WeightField, out=None) -> np.ndarray:
-    """Transpose of grad_w applied to a pair of difference fields.
+def div_w(g: np.ndarray, w: WeightField, out=None) -> np.ndarray:
+    """Transpose of grad_w applied to a stacked (2, n, n) difference field.
 
-    The last column of gx and last row of gy are ignored, matching the
-    zeroed boundary differences of grad_w; with that convention the
-    adjoint identity holds for arbitrary inputs.  On the flattened image
-    the result is -h + (h shifted by 1) for h = wx*gx, then the same for
-    wy*gy and a shift by n.  The shift by 1 adds each row's ignored last
-    entry to the next row's first; that entry is -0.0 by then, which
-    leaves every sum, signed zeros included, as the unshifted 2-D
-    formula gives it.  The result is written into out when given (see
-    _require_out) and returned; one scratch array is allocated per call.
+    g has the shape grad_w returns, with w's side n; any other shape
+    raises ValueError.  The last column of g[0] and last row of g[1] are
+    ignored, matching the zeroed boundary differences of grad_w; with that
+    convention the adjoint identity holds for arbitrary inputs.  On the
+    flattened image the result is -h + (h shifted by 1) for h = wx*g[0],
+    then the same for wy*g[1] and a shift by n.  The shift by 1 adds each
+    row's ignored last entry to the next row's first; that entry is -0.0
+    by then, which leaves every sum, signed zeros included, as the
+    unshifted 2-D formula gives it.  The result is written into out when
+    given (see _require_out) and returned; one scratch array is allocated
+    per call.
     """
-    _require_same_shape(gx, gy)
-    _require_same_shape(gx, w.wx)
-    n = gx.shape[0]
-    o = _require_out(out, (n, n), np.result_type(gx, gy, w.wx))
-    flat, t = o.ravel(), np.multiply(w.wx.ravel(), gx.ravel())
+    n = w.n
+    if g.shape != (2, n, n):
+        raise ValueError(f"field must be stacked (2, {n}, {n}) like grad_w's, got {g.shape}")
+    o = _require_out(out, (n, n), np.result_type(g, w.wx))
+    flat, t = o.ravel(), np.multiply(w.wx.ravel(), g[0].ravel())
     t[n - 1 :: n] = 0.0
     np.negative(t, out=flat)
     t[n - 1 :: n] = -0.0
     flat[1:] += t[:-1]
-    np.multiply(w.wy.ravel(), gy.ravel(), out=t)
+    np.multiply(w.wy.ravel(), g[1].ravel(), out=t)
     t[-n:] = 0.0
     flat -= t
     flat[n:] += t[:-n]

@@ -30,7 +30,7 @@ __all__ = [
 
 
 class ForwardModel(ABC):
-    """Linear measurement operator on (n, n) real images.
+    """Linear measurement operator on (n, n) real images, with (n, n) data.
 
     gram is the real (n, n//2 + 1) multiplier on the rfft2 half-plane
     through which the normal operator acts: adjoint(apply(u)) equals
@@ -48,11 +48,6 @@ class ForwardModel(ABC):
     @abstractmethod
     def adjoint(self, data: np.ndarray) -> np.ndarray:
         """Adjoint of apply; always returns a real image."""
-
-    @property
-    def data_shape(self) -> tuple:
-        """Shape of the measurement array; (n, n) unless a model overrides it."""
-        return (self.n, self.n)
 
     def _check_image(self, u: np.ndarray) -> None:
         if u.shape != (self.n, self.n):

@@ -154,11 +154,12 @@ def grad_w_2d(u: np.ndarray, w: WeightField) -> np.ndarray:
     return g
 
 
-def div_w_2d(gx: np.ndarray, gy: np.ndarray, w: WeightField) -> np.ndarray:
-    """Transpose of grad_w_2d; ignores gx's last column and gy's last row."""
-    hx = w.wx * gx
+def div_w_2d(g: np.ndarray, w: WeightField) -> np.ndarray:
+    """Transpose of grad_w_2d on a stacked (2, n, n) field; ignores the
+    last column of g[0] and the last row of g[1]."""
+    hx = w.wx * g[0]
     hx[:, -1] = 0.0
-    hy = w.wy * gy
+    hy = w.wy * g[1]
     hy[-1, :] = 0.0
     out = -hx
     out[:, 1:] += hx[:, :-1]
@@ -243,7 +244,7 @@ def record_changes(system) -> list:
     iterates = system.iterates
 
     def recording_iterates(v, h, u):
-        prev = u.ravel()
+        prev = u
         for x in iterates(v, h, u):
             changes.append(float(np.linalg.norm(x - prev)))
             prev = x

@@ -9,6 +9,7 @@ finishes in seconds.
 
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from wtv.bregman import (
     theta_bound,
     wsb_solve,
 )
+from wtv.cli import build_problem, load_config
 from wtv.forward_backward import SolverConfig, afb_solve, fista_alpha
 from wtv.grid import WeightField, div_w, grad_w, unit_weights
 from wtv.metrics import psnr
@@ -30,25 +32,8 @@ from wtv.operators import FourierMaskModel, GaussianBlurModel, radial_mask
 from wtv.potential import LogExpParams, compute_weights, default_mu, phi, phi_prime
 from wtv.testdata import NoiseSpec, add_gaussian_noise, piecewise_test_image, shepp_logan
 
-# Solver settings of the two 256x256 restoration scenarios (before the inner
-# solver is chosen); configs/cs256_lines10.cfg and configs/deblur256.cfg
-# carry the same ones.
-CRITERION_7_SOLVER = SolverConfig(
-    lam=1e-3,
-    beta=0.9,
-    weight_mode="adaptive",
-    mu_scale=7.5e-5,
-    epsilon=1e-4,
-    max_fb=80,
-)
-CRITERION_8_SOLVER = SolverConfig(
-    lam=5e-3,
-    beta=0.9,
-    weight_mode="fixed",
-    mu_scale=7.5e-5,
-    epsilon=1e-4,
-    max_fb=200,
-)
+# the two 256x256 restoration scenarios are the presets of criteria 7 and 8
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -72,7 +57,7 @@ def _random_instance(rng, beta, n=16):
     v, x0, dx, dy, ex, ey = (rng.normal(size=(n, n)) for _ in range(6))
     theta = 0.9 * theta_bound(w, beta)
     r = np.stack((dx - ex, dy - ey))
-    return w, theta, v + beta * theta * div_w(r[0], r[1], w), x0, v, r - grad_w(x0, w)
+    return w, theta, v + beta * theta * div_w(r, w), x0, v, r - grad_w(x0, w)
 
 
 def test_criterion_01_inner_solvers_match_dense_oracle():
@@ -248,11 +233,9 @@ def test_criterion_06_backward_step_never_worse_than_input():
 
 
 def test_criterion_07_undersampled_fourier_restoration():
-    truth = shepp_logan(256)
-    mask, pct = radial_mask(256, 10)
-    model = FourierMaskModel(mask)
-    data = model.apply(truth)
-    base = CRITERION_7_SOLVER
+    cfg = load_config(CONFIG_DIR / "cs256_lines10.cfg")
+    truth, model, data, pct = build_problem(cfg)
+    base = cfg.solver
     start = time.perf_counter()
     u_f, trace_f = afb_solve(model, data, replace(base, inner="fwsb"), reference=truth)
     t_fwsb = time.perf_counter() - start
@@ -281,11 +264,10 @@ def test_criterion_07_undersampled_fourier_restoration():
 
 
 def test_criterion_08_blurred_noisy_restoration():
-    truth = piecewise_test_image(256)
-    model = GaussianBlurModel(256, 1.5, 9)
-    data = add_gaussian_noise(model.apply(truth), NoiseSpec(0.5e-2, 0))
+    cfg = load_config(CONFIG_DIR / "deblur256.cfg")
+    truth, model, data, _ = build_problem(cfg)
     observed = psnr(data, truth)
-    base = CRITERION_8_SOLVER
+    base = cfg.solver
     results = {}
     for name in ("fwsb", "gauss_seidel"):
         _, trace = afb_solve(model, data, replace(base, inner=name), reference=truth)

@@ -326,10 +326,6 @@ class TestAfbSolve:
             def adjoint(self, data):
                 return data.copy()
 
-            @property
-            def data_shape(self):
-                return (self.n, self.n)
-
         model = _Explodes(16)
         # not a fixed point, so the run lasts until the NaN arrives: read 1
         # is the step-size bound, read k + 1 the forward step of FB step k

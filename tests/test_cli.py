@@ -22,7 +22,6 @@ from wtv.errors import ConfigError, DivergenceError
 from wtv.forward_backward import SolverConfig, afb_solve
 
 from oracles import benchmark_literal, read_grid
-from test_acceptance import CRITERION_7_SOLVER, CRITERION_8_SOLVER
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -596,7 +595,3 @@ class TestPresetConfigs:
             assert main(["run", str(cfg_path)]) == 0
             rows = (tmp_path / "summary.csv").read_text().strip().splitlines()[1:]
             assert [row.split(",")[:2] for row in rows] == [[s, "ok"] for s in cfg.solvers]
-
-    def test_acceptance_solver_settings(self):
-        assert load_config(CONFIG_DIR / "cs256_lines10.cfg").solver == CRITERION_7_SOLVER
-        assert load_config(CONFIG_DIR / "deblur256.cfg").solver == CRITERION_8_SOLVER

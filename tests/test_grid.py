@@ -86,7 +86,7 @@ class TestGrad:
 
 class TestDiv:
     def test_zero_fields_give_zero(self):
-        out = div_w(np.zeros((5, 5)), np.zeros((5, 5)), unit_weights(5))
+        out = div_w(np.zeros((2, 5, 5)), unit_weights(5))
         assert np.all(out == 0)
 
     def test_adjointness_randomized(self, rng, random_weights):
@@ -98,7 +98,7 @@ class TestDiv:
             gy = rng.normal(size=(16, 16))
             ax, ay = grad_w(u, w)
             lhs = np.sum(ax * gx) + np.sum(ay * gy)
-            rhs = np.sum(u * div_w(gx, gy, w))
+            rhs = np.sum(u * div_w(np.stack((gx, gy)), w))
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -107,7 +107,7 @@ class TestDiv:
         n = 6
         gx = np.zeros((n, n))
         gx[3, 2] = 1.0
-        out = div_w(gx, np.zeros((n, n)), unit_weights(n))
+        out = div_w(np.stack((gx, np.zeros((n, n)))), unit_weights(n))
         assert out[3, 3] == 1.0
         assert out[3, 2] == -1.0
         out[3, 3] = out[3, 2] = 0.0
@@ -142,43 +142,53 @@ class TestFlatOperatorsMatch2DFormulas:
     def test_div_w_bytes(self, rng, random_weights, n):
         w = random_weights(n)
         for signed_zeros in (False, True):
-            gx, gy = (
+            g = np.stack([
                 _signed_zeros(rng, (n, n)) if signed_zeros else rng.normal(size=(n, n))
                 for _ in range(2)
-            )
-            ref = div_w_2d(gx, gy, w).tobytes()
-            assert div_w(gx, gy, w).tobytes() == ref
+            ])
+            ref = div_w_2d(g, w).tobytes()
+            assert div_w(g, w).tobytes() == ref
             out = np.full((n, n), np.nan)
-            assert div_w(gx, gy, w, out=out) is out
+            assert div_w(g, w, out=out) is out
             assert out.tobytes() == ref
 
     def test_div_w_keeps_negative_zero_at_row_starts(self):
         # 2-D: ((-wx*0) - wy*0) + wy*(-0.0) = -0.0 at pixel (1, 0)
         n = 3
-        gx, gy = np.zeros((n, n)), np.zeros((n, n))
-        gy[0, 0] = -0.0
-        out = div_w(gx, gy, unit_weights(n))
-        assert out.tobytes() == div_w_2d(gx, gy, unit_weights(n)).tobytes()
+        g = np.zeros((2, n, n))
+        g[1, 0, 0] = -0.0
+        out = div_w(g, unit_weights(n))
+        assert out.tobytes() == div_w_2d(g, unit_weights(n)).tobytes()
         assert np.signbit(out[1, 0])
 
     @pytest.mark.parametrize(
-        "make_out",
+        "make_out, field_shape",
         [
-            lambda shape: np.empty(shape[:-1] + (shape[-1] + 1,)),  # wrong shape
-            lambda shape: np.empty(shape, np.float32),  # wrong dtype
-            lambda shape: np.empty(shape[:-1] + (2 * shape[-1],))[..., ::2],  # strided
-            lambda shape: np.asfortranarray(np.empty(shape)),  # not C order
+            (lambda shape: np.empty(shape[:-1] + (shape[-1] + 1,)), None),  # wrong shape
+            (lambda shape: np.empty(shape, np.float32), None),  # wrong dtype
+            (lambda shape: np.empty(shape[:-1] + (2 * shape[-1],))[..., ::2], None),  # strided
+            (lambda shape: np.asfortranarray(np.empty(shape)), None),  # not C order
+            # div_w's field must be stacked (2, n, n) like grad_w's result
+            (None, (4, 4)),  # one plane, unstacked
+            (None, (3, 4, 4)),  # three planes
+            (None, (2, 5, 5)),  # another grid's field
         ],
-        ids=["shape", "dtype", "strided", "fortran"],
+        ids=["shape", "dtype", "strided", "fortran", "field_2d", "field_3_planes",
+             "field_size"],
     )
-    def test_bad_out_rejected(self, rng, random_weights, make_out):
+    def test_bad_out_rejected(self, rng, random_weights, make_out, field_shape):
+        # a bad out for either operator, or a bad field for div_w
         n = 4
         w = random_weights(n)
-        u, gx, gy = (rng.normal(size=(n, n)) for _ in range(3))
-        with pytest.raises(ValueError, match="out must be"):
-            grad_w(u, w, out=make_out((2, n, n)))
-        with pytest.raises(ValueError, match="out must be"):
-            div_w(gx, gy, w, out=make_out((n, n)))
+        if field_shape is None:
+            u, g = rng.normal(size=(n, n)), rng.normal(size=(2, n, n))
+            with pytest.raises(ValueError, match="out must be"):
+                grad_w(u, w, out=make_out((2, n, n)))
+            with pytest.raises(ValueError, match="out must be"):
+                div_w(g, w, out=make_out((n, n)))
+        else:
+            with pytest.raises(ValueError, match="field must be stacked"):
+                div_w(rng.normal(size=field_shape), w)
 
 
 class TestLaplacian:
@@ -191,7 +201,7 @@ class TestLaplacian:
         w = random_weights(8)
         u = rng.normal(size=(8, 8))
         direct = laplacian_w(u, w)
-        composed = -div_w(*grad_w(u, w), w)
+        composed = -div_w(grad_w(u, w), w)
         assert np.allclose(direct, composed, rtol=1e-13, atol=1e-14)
 
     def test_unit_weight_impulse_five_point_pattern(self):
@@ -343,5 +353,5 @@ def test_adjointness_property(n, seed):
     gy = rng.normal(size=(n, n))
     ax, ay = grad_w(u, w)
     lhs = np.sum(ax * gx) + np.sum(ay * gy)
-    rhs = np.sum(u * div_w(gx, gy, w))
+    rhs = np.sum(u * div_w(np.stack((gx, gy)), w))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)

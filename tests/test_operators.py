@@ -202,10 +202,6 @@ class _IdentityModel(ForwardModel):
     def adjoint(self, data):
         return data.copy()
 
-    @property
-    def data_shape(self):
-        return (self.n, self.n)
-
 
 class _ZeroModel(_IdentityModel):
     def __init__(self, n):
