@@ -51,21 +51,22 @@ linear solvers are provided:
   every step) to (theta/bound)/(2 + theta/bound), so a solve cut off
   after any number of steps, one included, hands the Bregman loop no
   wrong-signed error to feed back.  The relaxed step contracts for any
-  theta; FwsbSystem still requires beta*theta < 1/||Lap_w||_inf (theta
-  below theta_bound), the paper's condition for the unit step, which
-  keeps the factor per step below 1/3.
+  theta > 0, so FwsbSystem does not hold theta to theta_bound, the
+  paper's condition beta*theta < 1/||Lap_w||_inf for the unit step.
 * gauss_seidel_solve: classic forward Gauss-Seidel sweeps in lexicographic
   pixel order on b from 0.  The system is strictly diagonally dominant for
   any theta > 0, so the sweeps always converge.  Each row is divided by
   its diagonal (Jacobi scaling): with c' = beta*theta*c/diag for the
   neighbour coefficients c, pixel (i, j) takes
   (((b/diag + ce'*xE) + cs'*xS) + cw'*xW) + cn'*xN, east and south from
-  the previous sweep, west and north from this one.  Pixel (i, j) reads
-  only its west and north neighbours from the current sweep, so all pixels
-  on one anti-diagonal i + j = d can be updated at once (the hyperplane or
-  wavefront method, Lamport 1974).  A sweep forms the east and south part
-  of every pixel in four numpy calls, then runs one anti-diagonal at a
-  time, four elementwise calls each, for the west and north part.
+  the previous sweep, west and north from this one; the first sweep,
+  whose previous iterate is 0, starts from b/diag alone.  Pixel (i, j)
+  reads only its west and north neighbours from the current sweep, so all
+  pixels on one anti-diagonal i + j = d can be updated at once (the
+  hyperplane or wavefront method, Lamport 1974).  A sweep after the first
+  forms the east and south part of every pixel in four numpy calls; each
+  sweep then runs one anti-diagonal at a time, four elementwise calls
+  each, for the west and north part.
 
 In exact arithmetic both solvers' iterates equal those of the same solver
 started from U on the full right-hand side.  Both are one call to _solve,
@@ -117,7 +118,7 @@ def cut(z, threshold, out=None):
 
 
 def theta_bound(w: WeightField, beta: float) -> float:
-    """Largest admissible penalty for the fixed-point solver: 1/(beta*||Lap_w||_inf).
+    """The paper's bound on the penalty for the unit fixed-point step: 1/(beta*||Lap_w||_inf).
 
     Raises ConfigError when the weighted Laplacian is zero, as on a 1x1
     grid, where no pixel has a neighbour and no bound exists, and when
@@ -187,21 +188,15 @@ class FwsbSystem(_System):
     Besides w, theta and beta*theta (see _System), holds the relaxation
     factor omega = 2/(2 + theta/theta_bound(w, beta)); theta_bound gives
     the Gershgorin interval [1, 1 + theta/bound] from which omega is
-    derived.  Building it checks theta < theta_bound(w, beta), which keeps
-    theta inside the range the interval is derived for, and raises
-    ConfigError otherwise; the error factor per step is then at most
-    (theta/bound)/(2 + theta/bound) < 1/3.  It holds no per-pixel array of
-    its own: each step after the first applies grad_w and div_w.
+    derived.  The error factor per step is then at most
+    (theta/bound)/(2 + theta/bound) < 1 for any theta > 0, so theta is not
+    held below bound.  It holds no per-pixel array of its own: each step
+    after the first applies grad_w and div_w.
     """
 
     def __init__(self, w: WeightField, beta: float, theta: float):
         super().__init__(w, beta, theta)
         bound = theta_bound(w, beta)
-        if not theta < bound:
-            raise ConfigError(
-                f"theta={theta:.6g} is not below the admissible bound "
-                f"theta_bound(w, beta) = {bound:.6g}"
-            )
         # Richardson's optimum for the eigenvalues of I - bt*Lap_w, which
         # Gershgorin's discs place in [1, 1 + theta/bound]
         self.omega = 2.0 / (2.0 + theta / bound)
@@ -255,8 +250,7 @@ def fwsb_linear_solve(v, h, u, cfg, system: FwsbSystem):
     FwsbSystem that holds the weights, beta, theta and omega, yields the
     iterates U + delta.  h is the stacked (2, n, n) field that wsb_solve
     carries.  Each step shrinks the error by a factor of at most
-    (theta/bound)/(2 + theta/bound), with bound = theta_bound(w, beta),
-    which is below 1/3 since building the system checked theta < bound.
+    (theta/bound)/(2 + theta/bound) < 1, with bound = theta_bound(w, beta).
     Stops by the shared rule of _solve, reading only tau and max_inner
     from cfg, the run's SolverConfig.  Returns (solution, iterations).
     """
@@ -280,15 +274,15 @@ class GaussSeidelSystem(_System):
     contiguously, with zero padding for the neighbours beyond the
     boundary.  The west and north neighbours of a diagonal then sit in the
     row before it, the east and south ones in the row after.  A sweep
-    forms every pixel's east and south part in four one-dimensional numpy
-    calls over whole planes, since those neighbours still hold the
-    previous iterate when their diagonal is reached; each diagonal then
-    adds its west and north products in four one-dimensional calls.  All
-    are views made here once.
+    after the first forms every pixel's east and south part in four
+    one-dimensional numpy calls over whole planes, since those neighbours
+    still hold the previous iterate when their diagonal is reached; each
+    diagonal then adds its west and north products in four
+    one-dimensional calls.  All are views made here once.
 
-    The iterate, right-hand-side and partial-sum buffers live in the system
-    too, so one system serves one solve at a time: starting a second
-    iterates generator overwrites the first one's iterate.
+    The iterate, partial-sum and product buffers, three sweep planes, live
+    in the system too, so one system serves one solve at a time: starting
+    a second iterates generator overwrites the first one's iterate.
     """
 
     def __init__(self, w: WeightField, beta: float, theta: float):
@@ -301,8 +295,8 @@ class GaussSeidelSystem(_System):
         for plane, c in zip(coef, (ce, cs, cw, cn)):
             _sheared_image(plane)[...] = bt * c / self._diag
         ce, cs, cw, cn = coef
-        b, pre, tmp, x = np.zeros((4, rows, cols))
-        self._b, self._x = _sheared_image(b), _sheared_image(x)
+        pre, tmp, x = np.zeros((3, rows, cols))
+        self._pre, self._x = _sheared_image(pre), _sheared_image(x)
         # the pixel at flat index k of a plane has its east neighbour at
         # k + cols and its south one at k + cols + 1, so the east and south
         # part is taken over one contiguous run of every plane, rows 1 to
@@ -313,7 +307,7 @@ class GaussSeidelSystem(_System):
             return plane.ravel()[cols + shift : (rows - 1) * cols - 1 + shift]
 
         self._east_south = (
-            run(ce), run(x, cols), run(cs), run(x, cols + 1), run(b), run(pre), run(tmp)
+            run(ce), run(x, cols), run(cs), run(x, cols + 1), run(pre), run(tmp)
         )
         self._diagonals = []
         for c in range(1, 2 * n):
@@ -330,28 +324,33 @@ class GaussSeidelSystem(_System):
         from 0, with b = _change_rhs(v, h, U), each row divided by its
         diagonal: with c' = beta*theta*c/diag, pixel (i, j) takes
         (((b/diag + ce'*xE) + cs'*xS) + cw'*xW) + cn'*xN, east and south
-        from the previous sweep, west and north from this one.  b/diag is
-        formed once per solve, the east and south part once per sweep for
-        every pixel, and each anti-diagonal then takes its west and north
-        products and sums in four elementwise calls.
+        from the previous sweep, west and north from this one.  The first
+        sweep's previous iterate is 0, so it starts from b/diag alone, which
+        goes straight into the partial-sum plane; a later sweep forms b/diag
+        there again and adds every pixel's east and south part.  Each
+        anti-diagonal then takes its west and north products and sums in
+        four elementwise calls.  The first sweep writes every pixel of the
+        iterate before it reads it, and no sweep writes the iterate's zero
+        padding, so nothing a previous solve left in the system is read.
         """
-        np.divide(self._change_rhs(v, h, u), self._diag, out=self._b)
-        self._x[...] = 0.0
-        multiply, add = np.multiply, np.add
-        ce, xe, cs, xs, b, pre, tmp = self._east_south
+        b = self._change_rhs(v, h, u)
+        divide, multiply, add = np.divide, np.multiply, np.add
+        ce, xe, cs, xs, pre, tmp = self._east_south
+        divide(b, self._diag, out=self._pre)
         while True:
-            multiply(ce, xe, pre)
-            add(b, pre, pre)
-            multiply(cs, xs, tmp)
-            add(pre, tmp, pre)
-            # once added, a diagonal's east and south part is spent, and its
-            # row of pre takes the north product
+            # once added, a diagonal's part in pre is spent, and its row of
+            # pre takes the north product
             for cw, xw, cn, xn, p, xd in self._diagonals:
                 multiply(cw, xw, xd)
                 add(p, xd, xd)
                 multiply(cn, xn, p)
                 add(xd, p, xd)
             yield u + self._x
+            divide(b, self._diag, out=self._pre)
+            multiply(ce, xe, tmp)
+            add(pre, tmp, pre)
+            multiply(cs, xs, tmp)
+            add(pre, tmp, pre)
 
 
 def gauss_seidel_solve(v, h, u, cfg, system: GaussSeidelSystem):
@@ -360,11 +359,13 @@ def gauss_seidel_solve(v, h, u, cfg, system: GaussSeidelSystem):
     Solves (I - beta*theta*Lap_w) X = v + beta*theta*div_w(h + grad_w U)
     for the change X - U from 0, on b = (v - U) + beta*theta*div_w(h),
     each row divided by its diagonal; valid for any theta > 0 thanks to
-    strict diagonal dominance.  system, the GaussSeidelSystem that holds
-    the weights, beta and theta, yields the iterates U + delta; it holds
-    the sweeps' buffers too, so it must serve one solve at a time.  Stops
-    by the shared rule of _solve, reading only tau and max_inner from cfg,
-    the run's SolverConfig.  Returns (solution, sweeps).
+    strict diagonal dominance.  The first sweep starts from b/diag, later
+    ones add the previous sweep's east and south neighbours to it.  system,
+    the GaussSeidelSystem that holds the weights, beta and theta, yields
+    the iterates U + delta; it holds the sweeps' buffers too, so it must
+    serve one solve at a time.  Stops by the shared rule of _solve,
+    reading only tau and max_inner from cfg, the run's SolverConfig.
+    Returns (solution, sweeps).
     """
     return _solve(system.iterates(v, h, u), u, cfg)
 

@@ -41,9 +41,9 @@ __all__ = [
 
 WEIGHT_MODES = ("uniform", "fixed", "adaptive")
 
-# Fraction of the admissible bound theta_bound(w, beta) used as theta:
-# safely inside the open interval, close enough to the edge to keep the
-# shrink threshold lam/theta meaningful.
+# theta as a multiple of theta_bound(w, beta): the run's kappa = theta/bound,
+# which sets the fast-splitting relaxation omega = 2/(2 + kappa) and the
+# shrink level lam/theta (the choice of kappa is ROADMAP item 3).
 THETA_SAFETY = 0.9
 
 
@@ -54,7 +54,7 @@ class SolverConfig:
     lam may be left unset when r0 is given, in which case the coupling
     lam = r0 * ||adjoint(z)||_1 fixes it at startup.  The splitting
     parameter theta is not a setting: each weight update sets it to
-    THETA_SAFETY times the admissible bound computed from the weights.
+    THETA_SAFETY times the bound theta_bound computed from the weights.
 
     max_inner caps the iterations of each linear solve inside a Bregman
     sweep.  Its default of 1 makes every sweep one inner step: one relaxed

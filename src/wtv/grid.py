@@ -8,9 +8,9 @@ column (x) and last row (y) set to zero, i.e. replicate boundary handling.
 A difference field is one stacked (2, n, n) array, x differences in
 plane 0 and y differences in plane 1: grad_w returns it and div_w takes
 it.  Both run on the flattened layout, where the x and y neighbours of
-pixel k sit at k+1 and k+n, so each term is one contiguous slice.  Each
-takes an optional out= array to fill instead of allocating its result;
-it must be C-contiguous with the result's shape and dtype.
+pixel k sit at k+1 and k+n, so each term is one contiguous slice.
+grad_w takes an optional out= array to fill instead of allocating its
+result; it must be C-contiguous with the result's shape and dtype.
 
 div_w is the exact transpose of grad_w, so <grad_w(u), g> equals
 <u, div_w(g)> for every input.  The weighted Laplacian is the five-point
@@ -77,8 +77,8 @@ def unit_weights(n: int) -> WeightField:
 def _require_out(out, shape, dtype) -> np.ndarray:
     """out, or a new array; a given out must be C-contiguous of shape and dtype.
 
-    The operators write through out.ravel(), which copies any other layout,
-    so a strided out would silently keep its old values.
+    grad_w writes through out.ravel(), which copies any other layout, so a
+    strided out would silently keep its old values.
     """
     if out is None:
         return np.empty(shape, dtype)
@@ -111,7 +111,7 @@ def grad_w(u: np.ndarray, w: WeightField, out=None) -> np.ndarray:
     return g
 
 
-def div_w(g: np.ndarray, w: WeightField, out=None) -> np.ndarray:
+def div_w(g: np.ndarray, w: WeightField) -> np.ndarray:
     """Transpose of grad_w applied to a stacked (2, n, n) difference field.
 
     g has the shape grad_w returns, with w's side n; any other shape
@@ -122,24 +122,22 @@ def div_w(g: np.ndarray, w: WeightField, out=None) -> np.ndarray:
     then the same for wy*g[1] and a shift by n.  The shift by 1 adds each
     row's ignored last entry to the next row's first; that entry is -0.0
     by then, which leaves every sum, signed zeros included, as the
-    unshifted 2-D formula gives it.  The result is written into out when
-    given (see _require_out) and returned; one scratch array is allocated
-    per call.
+    unshifted 2-D formula gives it.  Returns a new array; one scratch
+    array is allocated per call.
     """
     n = w.n
     if g.shape != (2, n, n):
         raise ValueError(f"field must be stacked (2, {n}, {n}) like grad_w's, got {g.shape}")
-    o = _require_out(out, (n, n), np.result_type(g, w.wx))
-    flat, t = o.ravel(), np.multiply(w.wx.ravel(), g[0].ravel())
+    t = np.multiply(w.wx.ravel(), g[0].ravel())
     t[n - 1 :: n] = 0.0
-    np.negative(t, out=flat)
+    flat = np.negative(t)
     t[n - 1 :: n] = -0.0
     flat[1:] += t[:-1]
     np.multiply(w.wy.ravel(), g[1].ravel(), out=t)
     t[-n:] = 0.0
     flat -= t
     flat[n:] += t[:-n]
-    return o
+    return flat.reshape(n, n)
 
 
 def _stencil_coeffs(w: WeightField):

@@ -1,10 +1,10 @@
 """End-to-end acceptance checks, one per scenario, one verdict line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines
-as they complete.  The two 256x256 restoration scenarios dominate the
-runtime (about 50 s on 2 vCPUs, the larger share in the Gauss-Seidel
-arms, whose sweeps run one anti-diagonal at a time); everything else
-finishes in seconds.
+as they complete.  All ten took 17-21 s on 2 vCPUs (three runs, as pytest
+reports them).  The two 256x256 restoration scenarios dominate that time,
+the larger share in the Gauss-Seidel arms, whose sweeps run one
+anti-diagonal at a time; everything else finishes in seconds.
 """
 
 import time
