@@ -24,12 +24,14 @@ A linear solve takes (v, h, U).  Since (I - beta*theta*Lap_w) U =
 U + beta*theta*div_w(grad_w(U)), the change delta = X - U solves the same
 system with the right-hand side b = (v - U) + beta*theta*div_w(h), and
 both linear solvers solve for it from delta = 0 (the correction form).
-Each prepared system, built once per weight field, holds the weights w,
-theta and beta*theta, forms every right-hand side it needs by one
-method, _change_rhs(v, h, U) = (v - U) + beta*theta*div_w(h), and offers
-one method to the solvers, iterates(v, h, U): an endless generator of
-the iterate U + delta, an (n, n) image, after each step.  theta must be
-positive, so the shrink level lam/theta always exists.
+Each prepared system is built once per weight field from the run's
+kappa.  It holds the weights w, bound = theta_bound(w, beta), computed
+once, theta = kappa*bound and beta*theta; it forms every right-hand side
+it needs by one method, _change_rhs(v, h, U) = (v - U) +
+beta*theta*div_w(h), and offers one method to the solvers, iterates(v,
+h, U): an endless generator of the iterate U + delta, an (n, n) image,
+after each step.  theta must be finite and positive, so the shrink level
+lam/theta always exists.
 The loop's own settings, lam, tau and the iteration caps, are fields of
 the run's forward_backward.SolverConfig, the one settings object of a
 solve; this module reads no other field of it.  Two interchangeable
@@ -124,9 +126,8 @@ def theta_bound(w: WeightField, beta: float) -> float:
     grid, where no pixel has a neighbour and no bound exists, and when
     beta is so small (subnormal, say) that the bound overflows.
 
-    beta > 0 is checked here and again by each prepared system: a caller
-    of theta_bound alone never builds a system, and GaussSeidelSystem
-    never calls theta_bound.
+    Each prepared system calls it once, so this is where beta > 0 is
+    checked for a system too.
     """
     if not beta > 0:
         raise ConfigError(f"beta must be positive, got {beta}")
@@ -156,18 +157,21 @@ def _norm(x: np.ndarray) -> float:
 
 
 class _System:
-    """The weights w, theta and bt = beta*theta of one system I - bt*Lap_w.
+    """The weights w, bound, theta and bt = beta*theta of one system I - bt*Lap_w.
 
-    Checks beta > 0 and theta finite and > 0, and raises ConfigError
-    otherwise: wsb_solve shrinks at the level lam/theta.
+    Built from the run's kappa: theta = kappa*bound, with bound =
+    theta_bound(w, beta) computed here once per weight field (theta_bound
+    checks beta).  Raises ConfigError unless theta is finite and > 0, which
+    rejects a kappa <= 0, NaN or inf and a kappa*bound that overflows or
+    underflows: wsb_solve shrinks at the level lam/theta.
     """
 
-    def __init__(self, w: WeightField, beta: float, theta: float):
-        if not beta > 0:
-            raise ConfigError(f"beta must be positive, got {beta}")
-        if not (np.isfinite(theta) and theta > 0):
-            raise ConfigError(f"theta must be finite and > 0, got {theta}")
-        self.w, self.theta, self.bt = w, theta, beta * theta
+    def __init__(self, w: WeightField, beta: float, kappa: float):
+        self.bound = theta_bound(w, beta)
+        self.theta = kappa * self.bound
+        if not (np.isfinite(self.theta) and self.theta > 0):
+            raise ConfigError(f"theta = {kappa!r}*theta_bound = {self.theta} is not finite and > 0")
+        self.w, self.bt = w, beta * self.theta
 
     def _change_rhs(self, v: np.ndarray, h: np.ndarray, u: np.ndarray) -> np.ndarray:
         """(v - U) + beta*theta*div_w(h) in a new array, evaluated as
@@ -185,21 +189,19 @@ class _System:
 class FwsbSystem(_System):
     """The system I - beta*theta*Lap_w for fast-splitting solves.
 
-    Besides w, theta and beta*theta (see _System), holds the relaxation
-    factor omega = 2/(2 + theta/theta_bound(w, beta)); theta_bound gives
-    the Gershgorin interval [1, 1 + theta/bound] from which omega is
-    derived.  The error factor per step is then at most
-    (theta/bound)/(2 + theta/bound) < 1 for any theta > 0, so theta is not
-    held below bound.  It holds no per-pixel array of its own: each step
-    after the first applies grad_w and div_w.
+    Besides w, theta, beta*theta and bound (see _System), holds the
+    relaxation factor omega = 2/(2 + theta/bound), derived from the
+    Gershgorin interval [1, 1 + theta/bound].  The error factor per step
+    is then at most (theta/bound)/(2 + theta/bound) < 1 for any kappa > 0,
+    so theta is not held below bound.  It holds no per-pixel array of its
+    own: each step after the first applies grad_w and div_w.
     """
 
-    def __init__(self, w: WeightField, beta: float, theta: float):
-        super().__init__(w, beta, theta)
-        bound = theta_bound(w, beta)
+    def __init__(self, w: WeightField, beta: float, kappa: float):
+        super().__init__(w, beta, kappa)
         # Richardson's optimum for the eigenvalues of I - bt*Lap_w, which
         # Gershgorin's discs place in [1, 1 + theta/bound]
-        self.omega = 2.0 / (2.0 + theta / bound)
+        self.omega = 2.0 / (2.0 + self.theta / self.bound)
 
     def iterates(self, v: np.ndarray, h: np.ndarray, u: np.ndarray):
         """Endless generator of the (n, n) iterate after each relaxed step from U.
@@ -285,8 +287,8 @@ class GaussSeidelSystem(_System):
     a second iterates generator overwrites the first one's iterate.
     """
 
-    def __init__(self, w: WeightField, beta: float, theta: float):
-        super().__init__(w, beta, theta)
+    def __init__(self, w: WeightField, beta: float, kappa: float):
+        super().__init__(w, beta, kappa)
         n, bt = w.n, self.bt
         ce, cw, cs, cn = _stencil_coeffs(w)
         self._diag = 1.0 + bt * (ce + cw + cs + cn)

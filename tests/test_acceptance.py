@@ -43,8 +43,9 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _random_instance(rng, beta, n=16):
-    """One linear-solve instance: weights, theta, right-hand side and start.
+    """One linear-solve instance: an FwsbSystem, right-hand side and start.
 
+    The system holds random weights and is built at kappa = 0.9, so its
     theta is 0.9 times the bound.  The right-hand side is the Bregman
     loop's, v + beta*theta*div_w(r) with r = (dx - ex, dy - ey), from a
     random target v and warm auxiliary fields; x0 is random too.  It is
@@ -55,9 +56,9 @@ def _random_instance(rng, beta, n=16):
     wy = rng.uniform(0.2, 2.0, size=(n, n))
     w = WeightField(wx, wy)
     v, x0, dx, dy, ex, ey = (rng.normal(size=(n, n)) for _ in range(6))
-    theta = 0.9 * theta_bound(w, beta)
+    system = FwsbSystem(w, beta, 0.9)
     r = np.stack((dx - ex, dy - ey))
-    return w, theta, v + beta * theta * div_w(r, w), x0, v, r - grad_w(x0, w)
+    return system, v + system.bt * div_w(r, w), x0, v, r - grad_w(x0, w)
 
 
 def test_criterion_01_inner_solvers_match_dense_oracle():
@@ -66,9 +67,9 @@ def test_criterion_01_inner_solvers_match_dense_oracle():
     start = time.perf_counter()
     for _ in range(20):
         beta = 0.5
-        w, theta, c, x0, v, h = _random_instance(rng, beta)
+        system, c, x0, v, h = _random_instance(rng, beta)
         p = SolverConfig(lam=0.1, tau=1e-12, max_inner=2000)
-        systems = FwsbSystem(w, beta, theta), GaussSeidelSystem(w, beta, theta)
+        systems = system, GaussSeidelSystem(system.w, beta, 0.9)
         exact = direct_solve(c, systems[0])
         ref = np.linalg.norm(exact)
         solves = (
@@ -93,7 +94,8 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
     worst_margin = -np.inf
     for _ in range(20):
         beta = 0.5
-        w, theta, _, x0, v, h = _random_instance(rng, beta)
+        system, _, x0, v, h = _random_instance(rng, beta)
+        w, theta = system.w, system.theta
         # the spectral radius of beta*theta*Lap_w, from the dense matrix
         rho = beta * theta * float(np.max(np.abs(np.linalg.eigvalsh(laplacian_matrix(w)))))
         assert rho < 1.0
@@ -102,7 +104,6 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
         omega = 2 / (2 + theta / theta_bound(w, beta))
         relaxed = max(1 - omega, abs(1 - omega - omega * rho))
         p = SolverConfig(lam=0.1, tau=1e-13, max_inner=400)
-        system = FwsbSystem(w, beta, theta)
         residuals = record_changes(system)
         fwsb_linear_solve(v, h, x0, p, system)
         ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
@@ -210,9 +211,8 @@ def test_criterion_06_backward_step_never_worse_than_input():
     beta = 0.9
     worst_gain = -np.inf
     for v, w, lam in fixtures:
-        theta = 0.9 * theta_bound(w, beta)
         p = SolverConfig(lam=lam, tau=1e-8, max_outer=60, max_inner=200)
-        u, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, theta))
+        u, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, 0.9))
         before = objective_backward(v, v, w, lam, beta)
         after = objective_backward(u, v, w, lam, beta)
         worst_gain = max(worst_gain, (after - before) / max(before, 1e-300))
@@ -221,7 +221,7 @@ def test_criterion_06_backward_step_never_worse_than_input():
     w = random_w(12)
     v = rng.normal(size=(12, 12))
     p0 = SolverConfig(lam=0.0, tau=tau, max_outer=200, max_inner=200)
-    u0, _, _ = wsb_solve(v, p0, FwsbSystem(w, beta, 0.5 * theta_bound(w, beta)))
+    u0, _, _ = wsb_solve(v, p0, FwsbSystem(w, beta, 0.5))
     drift = float(np.linalg.norm(u0 - v)) / float(np.linalg.norm(v))
     ok = worst_gain <= 1e-12 and drift <= 10 * tau
     _report(

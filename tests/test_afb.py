@@ -238,15 +238,15 @@ class TestAfbSolve:
 
     def test_no_accel_reduces_to_plain_fb(self):
         # manual forward/backward recursion must match afb_solve exactly
-        from wtv.bregman import FwsbSystem, theta_bound, wsb_solve
-        from wtv.forward_backward import THETA_SAFETY
+        from wtv.bregman import FwsbSystem, wsb_solve
+        from wtv.forward_backward import KAPPA
 
         truth, model, z = small_cs_problem()
         cfg = SolverConfig(lam=1e-3, weight_mode="uniform", max_fb=6, no_accel=True)
         u_solver, trace = afb_solve(model, z, cfg)
 
         w = unit_weights(truth.shape[0])
-        system = FwsbSystem(w, cfg.beta, THETA_SAFETY * theta_bound(w, cfg.beta))
+        system = FwsbSystem(w, cfg.beta, KAPPA)
         u = atz = model.adjoint(z)
         for _ in range(6):
             v = forward_step(u, model, atz, cfg.beta)
@@ -256,8 +256,8 @@ class TestAfbSolve:
     def test_fixed_weights_restart_matches_manual_recursion(self):
         # gradient restart: alpha = 0 when (u - u_tilde) . (u_tilde -
         # u_tilde_prev) > 0, and the schedule counts again from that step
-        from wtv.bregman import FwsbSystem, theta_bound, wsb_solve
-        from wtv.forward_backward import THETA_SAFETY
+        from wtv.bregman import FwsbSystem, wsb_solve
+        from wtv.forward_backward import KAPPA
         from wtv.potential import LogExpParams, compute_weights, default_mu
 
         truth = piecewise_test_image(32)
@@ -269,7 +269,7 @@ class TestAfbSolve:
 
         u = atz = model.adjoint(z)
         w = compute_weights(u, LogExpParams(cfg.mu_scale * default_mu(u)))
-        system = FwsbSystem(w, cfg.beta, THETA_SAFETY * theta_bound(w, cfg.beta))
+        system = FwsbSystem(w, cfg.beta, KAPPA)
         u_tilde_prev, k, alphas, sweeps = u, 0, [0.0], [0]
         for _ in range(cfg.max_fb):
             v = forward_step(u, model, atz, cfg.beta)
@@ -360,15 +360,15 @@ class TestAfbSolve:
 
 class TestModuleGlobalLookup:
     """afb_solve and wsb_solve reach forward_step, power_method, the inner
-    solvers, GaussSeidelSystem and the sweep's operators grad_w, div_w and
-    cut through their module-global names, so a wrapper bound to a name
-    (the benchmark tracer's, say) sees every call."""
+    solvers, GaussSeidelSystem, theta_bound and the sweep's operators
+    grad_w, div_w and cut through their module-global names, so a wrapper
+    bound to a name (the benchmark tracer's, say) sees every call."""
 
     @pytest.mark.parametrize("inner", INNER_SOLVERS)
     def test_wrappers_see_every_call(self, monkeypatch, inner):
         counts = {"iters": 0, "gs_builds": 0, "weight_updates": 0, "sweeps": 0,
                   "grad_w": 0, "div_w": 0, "cut": 0, "forward_step": 0,
-                  "power_method": 0}
+                  "power_method": 0, "theta_bound": 0}
         # the SolverConfig arguments of each linear-solve (wsb_solve) call:
         # the tracer reads max_inner_hits (max_outer_hits) from that argument
         configs = {"iters": [], "sweeps": []}
@@ -395,6 +395,9 @@ class TestModuleGlobalLookup:
             wrap(wtv.forward_backward, name, name)
         for name in ("grad_w", "div_w", "cut"):
             wrap(wtv.bregman, name, name)
+        # the tracer sums theta_bound over both modules
+        for module in (wtv.forward_backward, wtv.bregman):
+            wrap(module, "theta_bound", "theta_bound")
 
         truth, model, z = small_cs_problem(n=16)
         cfg = SolverConfig(
@@ -416,6 +419,8 @@ class TestModuleGlobalLookup:
         assert counts["weight_updates"] == len(trace) - 1
         expected_builds = counts["weight_updates"] if inner == "gauss_seidel" else 0
         assert counts["gs_builds"] == expected_builds
+        # each system build takes one bound, whichever the inner solver
+        assert counts["theta_bound"] == counts["weight_updates"]
         # one of each per Bregman sweep, each one layer of the benchmark;
         # each backward step also takes grad_w(v) for its first sweep
         assert counts["sweeps"] > len(trace) - 1

@@ -102,14 +102,29 @@ class TestThetaBound:
 
 @pytest.mark.parametrize("system_type", [FwsbSystem, GaussSeidelSystem])
 class TestSystemValidation:
-    # theta = 0 would leave wsb_solve's shrink level lam/theta undefined
-    @pytest.mark.parametrize("beta, theta", [
-        (0.0, 0.01), (-0.9, 0.01), (0.9, -1.0), (0.9, 0.0), (0.9, np.nan), (0.9, np.inf),
+    # theta = kappa*theta_bound(w, beta); theta = 0 would leave wsb_solve's
+    # shrink level lam/theta undefined.  At beta = 0.9 the bound is below
+    # 0.5, so kappa = 5e-324 underflows theta to 0; at beta = 1e-3 it is
+    # above 2, so kappa = 1e308 overflows theta to inf
+    @pytest.mark.parametrize("beta, kappa, named", [
+        (0.0, 0.9, "beta"), (-0.9, 0.9, "beta"), (0.9, -1.0, "theta"), (0.9, 0.0, "theta"),
+        (0.9, np.nan, "theta"), (0.9, np.inf, "theta"), (0.9, 5e-324, "theta"),
+        (1e-3, 1e308, "theta"),
     ], ids=["beta_zero", "beta_negative", "theta_negative", "theta_zero", "theta_nan",
-            "theta_inf"])
-    def test_rejects_bad_beta_and_theta(self, random_weights, system_type, beta, theta):
-        with pytest.raises(ConfigError):
-            system_type(random_weights(8), beta, theta)
+            "theta_inf", "theta_underflows", "theta_overflows"])
+    def test_rejects_bad_beta_and_theta(self, random_weights, system_type, beta, kappa, named):
+        w = random_weights(8)
+        if named == "theta":
+            assert not 0.5 < theta_bound(w, beta) < 2.0
+        with pytest.raises(ConfigError, match=named):
+            system_type(w, beta, kappa)
+
+    def test_theta_is_kappa_times_bound(self, random_weights, system_type):
+        w = random_weights(8)
+        system = system_type(w, 0.7, 0.9)
+        assert system.bound == theta_bound(w, 0.7)
+        assert system.theta == 0.9 * theta_bound(w, 0.7)
+        assert system.bt == 0.7 * system.theta
 
 
 def _random_system(rng, system):
@@ -218,16 +233,15 @@ def _reference_wsb(v, system, p, linear_solve):
 
 
 def _relaxed_contraction(rng, w, beta, factor):
-    """(gmean, rho) of a relaxed solve at theta = factor * theta_bound(w, beta).
+    """(gmean, rho) of a relaxed solve at kappa = factor.
 
     gmean is the geometric mean of the residual ratios of one
     fwsb_linear_solve run to tau = 1e-13 on a _random_system instance, and
     rho the spectral radius of the unit step's iteration matrix
     beta*theta*Lap_w, from the dense matrix.
     """
-    theta = factor * theta_bound(w, beta)
-    rho = beta * theta * float(np.max(np.abs(np.linalg.eigvalsh(laplacian_matrix(w)))))
-    system = FwsbSystem(w, beta, theta)
+    system = FwsbSystem(w, beta, factor)
+    rho = beta * system.theta * float(np.max(np.abs(np.linalg.eigvalsh(laplacian_matrix(w)))))
     instance = _random_system(rng, system)
     residuals = record_changes(system)
     _solve(fwsb_linear_solve, instance, SolverConfig(lam=0.1, tau=1e-13, max_inner=200), system)
@@ -243,22 +257,21 @@ SOLVER_IDS = ["fwsb", "gauss_seidel"]
 class TestInnerSolvers:
     def test_near_identity_limit(self, rng, random_weights):
         # beta*theta -> 0 makes the system matrix approach I, so X -> b = v,
-        # under both solvers
+        # under both solvers; beta*theta = kappa/||Lap_w||_inf
         w = random_weights(8)
         v = rng.normal(size=(8, 8))
         p = SolverConfig(lam=0.1, tau=1e-13, max_inner=50)
         for system_type, linear_solve in SOLVERS:
             # r = 0, so h = r - grad_w(v)
-            x, m = linear_solve(v, -grad_w(v, w), v, p, system_type(w, 1e-3, 1e-12))
+            x, m = linear_solve(v, -grad_w(v, w), v, p, system_type(w, 1e-3, 1e-14))
             assert np.allclose(x, v, atol=1e-10)
 
     @pytest.mark.parametrize("system_type, linear_solve", SOLVERS, ids=SOLVER_IDS)
     def test_matches_dense_direct(self, rng, random_weights, system_type, linear_solve):
         w = random_weights(16)
         beta = 0.5
-        theta = 0.9 * theta_bound(w, beta)
         p = SolverConfig(lam=0.1, tau=1e-12, max_inner=500)
-        system = system_type(w, beta, theta)
+        system = system_type(w, beta, 0.9)
         instance = _random_system(rng, system)
         ref = direct_solve(instance[0], system)
         x, m = _solve(linear_solve, instance, p, system)
@@ -268,18 +281,18 @@ class TestInnerSolvers:
     def test_solvers_agree_with_each_other(self, rng, random_weights):
         w = random_weights(12)
         beta = 0.9
-        theta = 0.5 * theta_bound(w, beta)
         p = SolverConfig(lam=0.2, tau=1e-11, max_inner=500)
-        system = FwsbSystem(w, beta, theta)
+        system = FwsbSystem(w, beta, 0.5)
         instance = _random_system(rng, system)
         xf, _ = _solve(fwsb_linear_solve, instance, p, system)
-        xg, _ = _solve(gauss_seidel_solve, instance, p, GaussSeidelSystem(w, beta, theta))
+        xg, _ = _solve(gauss_seidel_solve, instance, p, GaussSeidelSystem(w, beta, 0.5))
         assert np.allclose(xf, xg, atol=1e-8)
 
     @pytest.mark.parametrize("factor", [2.0, 5.0])
     def test_fwsb_contracts_beyond_unit_step_bound(self, rng, random_weights, factor):
-        # at theta = factor * theta_bound the unit step's iteration matrix
-        # beta*theta*Lap_w has spectral radius rho above 1, so the unit step
+        # at kappa = factor, theta = factor * theta_bound, the unit step's
+        # iteration matrix beta*theta*Lap_w has spectral radius rho above
+        # 1, so the unit step
         # diverges, yet the relaxed step still contracts within its radius
         gmean, rho = _relaxed_contraction(rng, random_weights(16), 0.5, factor)
         assert rho > 1.0
@@ -293,9 +306,8 @@ class TestInnerSolvers:
         # iterate and count agree bit for bit
         w = random_weights(n)
         beta = 0.9
-        theta = 0.9 * theta_bound(w, beta)
         p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
-        system = FwsbSystem(w, beta, theta)
+        system = FwsbSystem(w, beta, 0.9)
         _, x0, v, h = _random_system(rng, system)
         x, m = fwsb_linear_solve(v, h, x0, p, system)
         x_ref, m_ref = _reference_rule(_reference_fwsb(v, h, x0, system, system.omega), x0, p)
@@ -321,9 +333,8 @@ class TestInnerSolvers:
         # exactly, iterate and count, down to the one-pixel corner diagonals
         w = random_weights(n)
         beta = 0.9
-        theta = 0.7 * theta_bound(w, beta)
         p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
-        system = GaussSeidelSystem(w, beta, theta)
+        system = GaussSeidelSystem(w, beta, 0.7)
         _, x0, v, h = _random_system(rng, system)
         x, m = gauss_seidel_solve(v, h, x0, p, system)
         b = _reference_rhs(v, h, x0, system)
@@ -342,38 +353,41 @@ class TestInnerSolvers:
         # delta itself
         w = random_weights(n)
         beta = 0.9
-        theta = 0.7 * theta_bound(w, beta)
-        system = GaussSeidelSystem(w, beta, theta)
+        system = GaussSeidelSystem(w, beta, 0.7)
         _, _, v, h = _random_system(rng, system)
         gx, gy = grad_matrices(w)
         c = v.ravel() + system.bt * (np.vstack((gx, gy)).T @ h.ravel())
-        a = system_matrix(w, beta, theta)
+        a = system_matrix(w, beta, system.theta)
         delta = np.zeros(n * n)
         for _, x in zip(range(3), system.iterates(v, h, np.zeros((n, n)))):
             delta = gauss_seidel_step(a, c, delta)
             assert np.linalg.norm(x.ravel() - delta) <= 1e-13 * np.linalg.norm(delta)
 
-    @pytest.mark.parametrize("n", [3, 8], ids=lambda n: f"underflow-{n}")
-    def test_gauss_seidel_signed_zeros_equal_reference_loop(self, random_weights, n):
+    @pytest.mark.parametrize("n, zero", [(3, -0.0), (8, -0.0), (3, 0.0), (8, 0.0)],
+                             ids=["underflow-3", "underflow-8", "underflow-plus-zero-3",
+                                  "underflow-plus-zero-8"])
+    def test_gauss_seidel_signed_zeros_equal_reference_loop(self, random_weights, n, zero):
         # U = -0.0 adds nothing to any delta, signed zeros included.  b
-        # alternates the smallest negative subnormal with -0.0, so products
-        # underflow to -0.0: the first sweep keeps a -0.0 b/diag only if it
-        # adds no east or south term, and from the second sweep on all five
-        # terms of the sum are -0.0 on half the pixels; only a sum that
-        # starts from b/diag itself keeps that sign.  A right-hand side of
-        # random +-0.0 adds no check to this one: the zero padding makes
-        # every boundary sum +0.0, and the +0.0 spreads to every pixel.
+        # alternates the smallest negative subnormal with a zero, so
+        # products underflow to -0.0.  With -0.0, the first sweep keeps a
+        # -0.0 b/diag only if it adds no east or south term, and from the
+        # second sweep on all five terms of the sum are -0.0 on half the
+        # pixels; only a sum that starts from b/diag itself keeps that
+        # sign.  With +0.0, an interior pixel's sum is +0.0 only if its
+        # b/diag stays +0.0, since its other terms are all -0.0.  A
+        # right-hand side of random +-0.0 adds no check to these: the zero
+        # padding makes every boundary sum +0.0, and the +0.0 spreads to
+        # every pixel.
         # The iterates are drawn from the system directly: the stopping
         # rule would end at the first, whose change is below any tau.  The
         # system's right-hand side is substituted, since none formed from
         # (v, h, U) holds a -0.0 pattern
         w = random_weights(n)
         beta = 0.9
-        theta = 0.7 * theta_bound(w, beta)
-        system = GaussSeidelSystem(w, beta, theta)
+        system = GaussSeidelSystem(w, beta, 0.7)
         u = np.full((n, n), -0.0)
         i, j = np.indices((n, n))
-        b = np.where((i + j) % 2, -5e-324, -0.0)
+        b = np.where((i + j) % 2, -5e-324, zero)
         system._change_rhs = lambda v, h, u: b
         pairs = zip(system.iterates(None, None, u), _reference_gauss_seidel(b, u, system))
         for _, (x, x_ref) in zip(range(3), pairs):
@@ -388,18 +402,17 @@ class TestInnerSolvers:
         n = 9
         w = random_weights(n)
         beta = 0.9
-        theta = 0.7 * theta_bound(w, beta)
         p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
-        shared = system_type(w, beta, theta)
+        shared = system_type(w, beta, 0.7)
         for _ in range(3):
             instance = _random_system(rng, shared)
             x, m = _solve(linear_solve, instance, p, shared)
-            x_new, m_new = _solve(linear_solve, instance, p, system_type(w, beta, theta))
+            x_new, m_new = _solve(linear_solve, instance, p, system_type(w, beta, 0.7))
             assert m == m_new
             assert np.array_equal(x.view(np.int64), x_new.view(np.int64))
 
     def test_direct_solve_gate(self, random_weights):
-        system = GaussSeidelSystem(random_weights(33), 0.9, 0.01)
+        system = GaussSeidelSystem(random_weights(33), 0.9, 0.9)
         v = np.zeros((33, 33))
         with pytest.raises(ConfigError):
             direct_solve(v, system)
@@ -408,9 +421,8 @@ class TestInnerSolvers:
         # starting exactly at the solution stops after one cheap pass
         w = random_weights(12)
         beta = 0.5
-        theta = 0.9 * theta_bound(w, beta)
         p = SolverConfig(lam=0.1, tau=1e-10, max_inner=300)
-        system = FwsbSystem(w, beta, theta)
+        system = FwsbSystem(w, beta, 0.9)
         c, x0, v, h = _random_system(rng, system)
         x1, m1 = fwsb_linear_solve(v, h, x0, p, system)
         # the same right-hand side from x1: h + grad_w(x0) = r
@@ -433,16 +445,15 @@ class TestWsbSolve:
     def test_lambda_zero_returns_v(self, rng, random_weights):
         w = random_weights(12)
         beta = 0.9
-        theta = 0.5 * theta_bound(w, beta)
         tau = 1e-6
         p = SolverConfig(lam=0.0, tau=tau, max_outer=200, max_inner=200)
         v = rng.normal(size=(12, 12))
-        u, total_inner, outer = wsb_solve(v, p, FwsbSystem(w, beta, theta))
+        u, total_inner, outer = wsb_solve(v, p, FwsbSystem(w, beta, 0.5))
         assert np.linalg.norm(u - v) <= 10 * tau * np.linalg.norm(v)
 
     def test_zero_input_zero_output(self, random_weights):
         w = random_weights(8)
-        system = FwsbSystem(w, 0.9, 0.5 * theta_bound(w, 0.9))
+        system = FwsbSystem(w, 0.9, 0.5)
         u, _, _ = wsb_solve(np.zeros((8, 8)), SolverConfig(lam=0.3, max_inner=50), system)
         assert np.all(u == 0)
 
@@ -453,7 +464,7 @@ class TestWsbSolve:
             beta = 0.9
             p = SolverConfig(lam=0.15, tau=1e-6, max_outer=100, max_inner=100)
             v = local.normal(size=(12, 12))
-            u, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, 0.5 * theta_bound(w, beta)))
+            u, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, 0.5))
             assert objective_backward(u, v, w, 0.15, beta) <= objective_backward(
                 v, v, w, 0.15, beta
             )
@@ -465,7 +476,7 @@ class TestWsbSolve:
         ramp = np.tile(np.linspace(0.0, 1.0, n), (n, 1))
         beta = 0.9
         p = SolverConfig(lam=2.0, tau=1e-8, max_outer=200, max_inner=200)
-        u, _, _ = wsb_solve(ramp, p, FwsbSystem(w, beta, 0.5 * theta_bound(w, beta)))
+        u, _, _ = wsb_solve(ramp, p, FwsbSystem(w, beta, 0.5))
         assert weighted_tv(u, w) < 0.6 * weighted_tv(ramp, w)
         assert objective_backward(u, ramp, w, 2.0, beta) <= objective_backward(
             ramp, ramp, w, 2.0, beta
@@ -483,10 +494,9 @@ class TestWsbSolve:
         # sides of cut run
         w = random_weights(8)
         beta = 0.9
-        theta = 0.5 * theta_bound(w, beta)
         p = SolverConfig(lam=0.03, tau=tau, max_outer=max_outer, max_inner=100)
         v = rng.normal(size=(8, 8))
-        system = system_type(w, beta, theta)
+        system = system_type(w, beta, 0.5)
         u, total_inner, sweeps = wsb_solve(v, p, system)
         iterates = {
             GaussSeidelSystem: lambda v, h, x0: _reference_gauss_seidel(
@@ -506,12 +516,11 @@ class TestWsbSolve:
     def test_inner_choices_converge_to_same_point(self, rng, random_weights):
         w = random_weights(12)
         beta = 0.9
-        theta = 0.5 * theta_bound(w, beta)
         tau = 1e-8
         p = SolverConfig(lam=0.1, tau=tau, max_outer=300, max_inner=300)
         v = rng.normal(size=(12, 12))
-        u_f, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, theta))
-        u_g, _, _ = wsb_solve(v, p, GaussSeidelSystem(w, beta, theta))
+        u_f, _, _ = wsb_solve(v, p, FwsbSystem(w, beta, 0.5))
+        u_g, _, _ = wsb_solve(v, p, GaussSeidelSystem(w, beta, 0.5))
         assert np.linalg.norm(u_f - u_g) <= 10 * tau * np.linalg.norm(u_g)
 
     @pytest.mark.parametrize("system_type", [FwsbSystem, GaussSeidelSystem])
@@ -522,7 +531,7 @@ class TestWsbSolve:
         # same sweeps and inner iterations, and U to 1e-12 relative
         w = random_weights(8)
         beta = 0.9
-        system = system_type(w, beta, 0.5 * theta_bound(w, beta))
+        system = system_type(w, beta, 0.5)
         p = SolverConfig(lam=0.03, tau=1e-6, max_outer=300, max_inner=max_inner)
         v = rng.normal(size=(8, 8))
         u, total_inner, sweeps = wsb_solve(v, p, system)
@@ -540,7 +549,7 @@ class TestWsbSolve:
         # sees numpy's buffers, so the count is exact and noise-free
         n = 64
         w = random_weights(n)
-        system = FwsbSystem(w, 0.9, 0.9 * theta_bound(w, 0.9))
+        system = FwsbSystem(w, 0.9, 0.9)
         p = SolverConfig(lam=0.03)
         v = rng.normal(size=(n, n))
         wsb_solve(v, p, system)  # numpy's own first-call allocations

@@ -478,9 +478,12 @@ class TestMain:
             ({"n": 20}, "n must be at least 32"),
             ({"max_inner": 0}, "max_inner"),
             ({"max_outer": 0}, "max_outer"),
+            ({"max_fb": 0}, "max_fb must be at least 1, got 0"),
             ({"problem": "cs_mri", "mask_lines": 0}, "mask_lines"),
             ({"blur_sigma": -1}, "blur_sigma"),
             ({"blur_size": 4}, "blur_size"),
+            # odd, but wider than the tiny config's n = 32
+            ({"blur_size": 33}, "blur_size 33"),
             ({"noise_variance": "nan"}, "noise_variance"),
             ({"seed": -1}, "seed"),
             ({"beta": 1.5}, "beta"),
@@ -500,7 +503,8 @@ class TestMain:
             ({"beta": 1e-320}, "beta"),
         ],
         ids=[
-            "tau", "n", "n_deblur", "max_inner", "max_outer", "mask_lines", "blur_sigma", "blur_size", "noise", "seed",
+            "tau", "n", "n_deblur", "max_inner", "max_outer", "max_fb", "mask_lines", "blur_sigma",
+            "blur_size", "blur_size_above_n", "noise", "seed",
             "beta", "mu_scale_inf", "mu_scale_overflow", "a_inf", "epsilon_inf", "tau_inf",
             "blur_sigma_inf", "r0_inf", "blur_sigma_underflow", "blur_sigma_underflow_uniform",
             "a_overflow", "beta_subnormal",

@@ -49,6 +49,10 @@ class TestWeightField:
         with pytest.raises(ValueError):
             WeightField(wx=np.ones((4, 4)), wy=np.ones((4, 5)))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="wx must be a square 2-D array"):
+            WeightField(wx=np.ones((4, 5)), wy=np.ones((4, 5)))
+
     def test_side_length(self):
         assert unit_weights(7).n == 7
 

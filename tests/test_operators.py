@@ -89,6 +89,11 @@ class TestGaussianBlurModel:
         assert est <= direct + 1e-10
         assert est == pytest.approx(direct, rel=1e-6)
 
+    def test_apply_rejects_wrong_shape(self):
+        m = GaussianBlurModel(16, sigma=1.0, size=5)
+        with pytest.raises(ValueError, match=r"expected \(16, 16\) image"):
+            m.apply(np.zeros((16, 15)))
+
     def test_circular_wraparound(self):
         # impulse at the corner wraps to the opposite edges
         n = 16
@@ -118,6 +123,10 @@ class TestFourierMaskModel:
         bad[3, 3] = 0.5
         with pytest.raises(ConfigError):
             FourierMaskModel(bad)
+
+    def test_mask_must_be_square(self):
+        with pytest.raises(ConfigError, match="mask must be square"):
+            FourierMaskModel(np.ones((8, 9)))
 
     def test_projector_spectral_norm_one(self):
         mask, _ = radial_mask(32, 4)
