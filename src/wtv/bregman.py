@@ -10,27 +10,32 @@ Bregman variables.  Each outer sweep takes a linear solve of
     (I - beta*theta*Lap_w) X = v + beta*theta*div_w(r),  Lap_w = -div_w(grad_w(.)),
 
 for the residual r = d - e of the auxiliary field d and the Bregman field
-e, then shrinks.  wsb_solve carries neither r nor d.  It carries U, e and
-h = r - grad_w(U), each difference field one stacked (2, n, n) array,
-the form grad_w returns and div_w takes.
+e, then shrinks.  wsb_solve carries neither r nor d.  It carries U, e,
+stacked as one (2, n, n) array, the form grad_w returns and div_w takes,
+and its divergence q = div_w(e), one (n, n) image.
 Since d = soft(z) = z - cut(z) for z = grad_w(U) + e_prev, the shrink's
-e = cut(z) gives h = e_prev - 2e: grad_w(U) enters only through cut.  The
-two fields live in two buffers allocated once per call and updated in
-place: grad_w writes z into h's buffer, cut turns it into the new e there,
-two subtractions turn the old e's buffer into the new h, and the names
-swap.
+e = cut(z) gives r - grad_w(U) = e_prev - 2e: grad_w(U) enters only
+through cut.  So the divergence term that the correction form below
+needs, s = beta*theta*div_w(r - grad_w(U)), is the image
+beta*theta*((q_prev - q) - q), and the one div_w of a sweep, that of the
+new e, serves this sweep's q and the next one's q_prev.  e and a gradient
+buffer are allocated once per call: grad_w writes into the buffer, e
+absorbs it and cut clamps e in place, and the spent buffer's first plane
+takes s.  This is the state of the sweep's primal-dual form (Esser, Zhang
+& Chan, SIAM J. Imaging Sci. 2010): the dual field is theta*e, and its
+divergence theta*q.
 
-A linear solve takes (v, h, U).  Since (I - beta*theta*Lap_w) U =
+A linear solve takes (v, s, U).  Since (I - beta*theta*Lap_w) U =
 U + beta*theta*div_w(grad_w(U)), the change delta = X - U solves the same
-system with the right-hand side b = (v - U) + beta*theta*div_w(h), and
-both linear solvers solve for it from delta = 0 (the correction form).
+system with the right-hand side b = (s + v) - U, and both linear solvers
+solve for it from delta = 0 (the correction form).
 Each prepared system is built once per weight field from the run's
 kappa.  It holds the weights w, bound = theta_bound(w, beta), computed
 once, theta = kappa*bound and beta*theta; it forms every right-hand side
-it needs by one method, _change_rhs(v, h, U) = (v - U) +
-beta*theta*div_w(h), and offers one method to the solvers, iterates(v,
-h, U): an endless generator of the iterate U + delta, an (n, n) image,
-after each step.  theta must be finite and positive, so the shrink level
+it needs by one method, _change_rhs(v, s, U) = (s + v) - U, which applies
+no operator, and offers one method to the solvers, iterates(v, s, U): an
+endless generator of the iterate U + delta, an (n, n) image, after each
+step.  theta must be finite and positive, so the shrink level
 lam/theta always exists.
 The loop's own settings, lam, tau and the iteration caps, are fields of
 the run's forward_backward.SolverConfig, the one settings object of a
@@ -41,10 +46,10 @@ linear solvers are provided:
   delta <- delta + omega*(b - delta - beta*theta*div_w(grad_w delta))
   from the identity splitting of the system matrix, written with the
   sweep's own two operators; no stencil is kept.  Each step adds omega
-  times the residual _change_rhs(v, h - grad_w(delta), X).  From
-  delta = 0 that residual is b, so the first step,
-  X = U + omega*(v + beta*theta*div_w(h) - U), takes no grad_w, and a
-  one-step solve runs one div_w: the linearised Bregman, or split inexact
+  times the residual _change_rhs(v, s - beta*theta*div_w(grad_w(delta)),
+  X).  From delta = 0 that residual is b, so the first step,
+  X = U + omega*((s + v) - U), applies no operator, and a one-step solve
+  runs neither grad_w nor div_w: the linearised Bregman, or split inexact
   Uzawa, form of the sweep (Zhang, Burger & Osher, J. Sci. Comput. 2011).
   omega is Richardson's optimal relaxation for the Gershgorin interval
   [1, 1 + theta/bound] of the system matrix, 2/(2 + theta/bound) with
@@ -68,16 +73,18 @@ linear solvers are provided:
   hyperplane or wavefront method, Lamport 1974).  A sweep after the first
   forms the east and south part of every pixel in four numpy calls; each
   sweep then runs one anti-diagonal at a time, four elementwise calls
-  each, for the west and north part.
+  each, for the west and north part.  A solve applies neither grad_w nor
+  div_w.
 
 In exact arithmetic both solvers' iterates equal those of the same solver
 started from U on the full right-hand side.  Both are one call to _solve,
 which draws a system's iterates until the relative change falls below tau
 or max_inner is reached, and skips that test on the last allowed
 iteration, where it cannot change what is returned.  wsb_solve applies
-the same rule to U from its second sweep on.  Each norm of these tests is
-one dot product.  wsb_solve picks the solver from the type of the
-prepared system it is given.
+the same rule to U from its second sweep on, and returns without
+shrinking after its last sweep, whose shrink could not reach U.  Each
+norm of these tests is one dot product.  wsb_solve picks the solver from
+the type of the prepared system it is given.
 """
 
 from __future__ import annotations
@@ -159,6 +166,9 @@ def _norm(x: np.ndarray) -> float:
 class _System:
     """The weights w, bound, theta and bt = beta*theta of one system I - bt*Lap_w.
 
+    Its one right-hand side, _change_rhs(v, s, U) = (s + v) - U, takes
+    wsb_solve's divergence term s as an (n, n) image.
+
     Built from the run's kappa: theta = kappa*bound, with bound =
     theta_bound(w, beta) computed here once per weight field (theta_bound
     checks beta).  Raises ConfigError unless theta is finite and > 0, which
@@ -173,17 +183,14 @@ class _System:
             raise ConfigError(f"theta = {kappa!r}*theta_bound = {self.theta} is not finite and > 0")
         self.w, self.bt = w, beta * self.theta
 
-    def _change_rhs(self, v: np.ndarray, h: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """(v - U) + beta*theta*div_w(h) in a new array, evaluated as
-        beta*theta*div_w(h) + v, then minus U: one div_w.
+    def _change_rhs(self, v: np.ndarray, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(s + v) - U in a new array; it applies no operator.
 
-        With the carried h it is the right-hand side b of the change X - U.
+        With wsb_solve's divergence term s it is the right-hand side b of
+        the change X - U.
         """
-        b = div_w(h, self.w)
-        b *= self.bt
-        b += v
-        b -= u
-        return b
+        b = np.add(s, v)
+        return np.subtract(b, u, out=b)
 
 
 class FwsbSystem(_System):
@@ -203,26 +210,28 @@ class FwsbSystem(_System):
         # Gershgorin's discs place in [1, 1 + theta/bound]
         self.omega = 2.0 / (2.0 + self.theta / self.bound)
 
-    def iterates(self, v: np.ndarray, h: np.ndarray, u: np.ndarray):
+    def iterates(self, v: np.ndarray, s: np.ndarray, u: np.ndarray):
         """Endless generator of the (n, n) iterate after each relaxed step from U.
 
         Solves for the change X - U from 0, whose right-hand side is
-        b = (v - U) + beta*theta*div_w(h), with h stacked (2, n, n).  Each
-        step adds omega times that equation's residual at the current X,
-        X <- X + omega*_change_rhs(v, h - grad_w(X - U), X), evaluated in
-        that order.  From X = U the residual is b itself, so the first step
-        is U + omega*(v + beta*theta*div_w(h) - U) and takes no grad_w; m
-        steps run m div_w and m - 1 grad_w.  Each iterate is a new array.
+        b = (s + v) - U, with s the (n, n) divergence term.  Each step adds
+        omega times that equation's residual at the current X,
+        X <- X + omega*_change_rhs(v, t, X) with
+        t = s - beta*theta*div_w(grad_w(X - U)), evaluated in that order.
+        From X = U the residual is b itself, so the first step is
+        U + omega*((s + v) - U) and applies no operator; m steps run m - 1
+        grad_w and m - 1 div_w.  Each iterate is a new array.
         """
-        x, d = u, h
+        x, t = u, s
         while True:
-            x_new = self._change_rhs(v, d, x)
+            x_new = self._change_rhs(v, t, x)
             x_new *= self.omega
             x_new += x
             x = x_new
             yield x
-            d = grad_w(x - u, self.w)
-            np.subtract(h, d, out=d)
+            t = div_w(grad_w(x - u, self.w), self.w)
+            t *= self.bt
+            np.subtract(s, t, out=t)
 
 
 def _solve(iterates, x0: np.ndarray, cfg):
@@ -242,21 +251,21 @@ def _solve(iterates, x0: np.ndarray, cfg):
         prev = x
 
 
-def fwsb_linear_solve(v, h, u, cfg, system: FwsbSystem):
-    """Relaxed fixed-point solve of (I - beta*theta*Lap_w) X = v + beta*theta*div_w(h + grad_w U).
+def fwsb_linear_solve(v, s, u, cfg, system: FwsbSystem):
+    """Relaxed fixed-point solve of (I - beta*theta*Lap_w) X = v + s + beta*theta*div_w(grad_w U).
 
     Splitting the system matrix across the identity and relaxing the step
     by omega turns the solve for the change delta = X - U into
     delta <- delta + omega*(b - delta - beta*theta*div_w(grad_w delta))
-    from delta = 0, with b = (v - U) + beta*theta*div_w(h); system, the
-    FwsbSystem that holds the weights, beta, theta and omega, yields the
-    iterates U + delta.  h is the stacked (2, n, n) field that wsb_solve
-    carries.  Each step shrinks the error by a factor of at most
+    from delta = 0, with b = (s + v) - U; system, the FwsbSystem that
+    holds the weights, beta, theta and omega, yields the iterates
+    U + delta.  s is the (n, n) divergence term that wsb_solve hands
+    over.  Each step shrinks the error by a factor of at most
     (theta/bound)/(2 + theta/bound) < 1, with bound = theta_bound(w, beta).
     Stops by the shared rule of _solve, reading only tau and max_inner
     from cfg, the run's SolverConfig.  Returns (solution, iterations).
     """
-    return _solve(system.iterates(v, h, u), u, cfg)
+    return _solve(system.iterates(v, s, u), u, cfg)
 
 
 def _sheared_image(plane: np.ndarray) -> np.ndarray:
@@ -319,11 +328,11 @@ class GaussSeidelSystem(_System):
                 pre[c, lo:hi], x[c, lo:hi],
             ))
 
-    def iterates(self, v: np.ndarray, h: np.ndarray, u: np.ndarray):
+    def iterates(self, v: np.ndarray, s: np.ndarray, u: np.ndarray):
         """Endless generator of the (n, n) image U + delta after each forward sweep.
 
         Sweeps (I - beta*theta*Lap_w) delta = b for the change delta = X - U
-        from 0, with b = _change_rhs(v, h, U), each row divided by its
+        from 0, with b = _change_rhs(v, s, U), each row divided by its
         diagonal: with c' = beta*theta*c/diag, pixel (i, j) takes
         (((b/diag + ce'*xE) + cs'*xS) + cw'*xW) + cn'*xN, east and south
         from the previous sweep, west and north from this one.  The first
@@ -335,7 +344,7 @@ class GaussSeidelSystem(_System):
         iterate before it reads it, and no sweep writes the iterate's zero
         padding, so nothing a previous solve left in the system is read.
         """
-        b = self._change_rhs(v, h, u)
+        b = self._change_rhs(v, s, u)
         divide, multiply, add = np.divide, np.multiply, np.add
         ce, xe, cs, xs, pre, tmp = self._east_south
         divide(b, self._diag, out=self._pre)
@@ -355,13 +364,14 @@ class GaussSeidelSystem(_System):
             add(pre, tmp, pre)
 
 
-def gauss_seidel_solve(v, h, u, cfg, system: GaussSeidelSystem):
+def gauss_seidel_solve(v, s, u, cfg, system: GaussSeidelSystem):
     """Forward Gauss-Seidel sweeps on the same system, lexicographic order.
 
-    Solves (I - beta*theta*Lap_w) X = v + beta*theta*div_w(h + grad_w U)
-    for the change X - U from 0, on b = (v - U) + beta*theta*div_w(h),
-    each row divided by its diagonal; valid for any theta > 0 thanks to
-    strict diagonal dominance.  The first sweep starts from b/diag, later
+    Solves (I - beta*theta*Lap_w) X = v + s + beta*theta*div_w(grad_w U)
+    for the change X - U from 0, on b = (s + v) - U, with s the (n, n)
+    divergence term that wsb_solve hands over, each row divided by its
+    diagonal and applying neither grad_w nor div_w; valid for any
+    theta > 0 thanks to strict diagonal dominance.  The first sweep starts from b/diag, later
     ones add the previous sweep's east and south neighbours to it.  system,
     the GaussSeidelSystem that holds the weights, beta and theta, yields
     the iterates U + delta; it holds the sweeps' buffers too, so it must
@@ -369,7 +379,7 @@ def gauss_seidel_solve(v, h, u, cfg, system: GaussSeidelSystem):
     reading only tau and max_inner from cfg, the run's SolverConfig.
     Returns (solution, sweeps).
     """
-    return _solve(system.iterates(v, h, u), u, cfg)
+    return _solve(system.iterates(v, s, u), u, cfg)
 
 
 # Names only: wsb_solve and forward_backward._build_system call each
@@ -381,58 +391,58 @@ INNER_SOLVERS = ("fwsb", "gauss_seidel")
 def wsb_solve(v: np.ndarray, cfg, system: FwsbSystem | GaussSeidelSystem):
     """Split-Bregman loop for the backward subproblem.
 
-    Carries U, the Bregman field e and h = r - grad_w(U), r = d - e the
-    residual of the auxiliary field d, each difference field stacked as one
-    (2, n, n) array; neither d nor r is formed.  Starts from U = v with
-    e = r = 0, so h = -grad_w(v).  Each sweep solves for U from the
-    previous U, handing (v, h, U) to the linear solve, and shrinks the
-    shifted differences z = grad_w(U) + e at the level lam/theta: the new
-    e is cut(z), and h = r - grad_w(U) = (z - 2e) - (z - e_prev) =
-    (e_prev - e) - e.  e and h are two buffers allocated once per call and
-    updated in place.  Once the solve has returned, h is spent: its first
-    plane takes U's change for the stopping test, then grad_w writes into
-    its buffer, which takes z and the new e; the old e's buffer becomes
-    the new h; the names swap.
+    Carries U, the Bregman field e, stacked as one (2, n, n) array, and its
+    divergence q = div_w(e), one (n, n) image; neither the auxiliary field
+    d nor the residual r = d - e is formed.  Each sweep hands the linear
+    solve (v, s, U) with the divergence term s = beta*theta*div_w(r -
+    grad_w(U)), an (n, n) image, and shrinks the shifted differences
+    z = grad_w(U) + e at the level lam/theta: the new e is cut(z), so
+    r - grad_w(U) = (z - 2e) - (z - e_prev) = e_prev - 2e, and the next
+    s is beta*theta*((q_prev - q) - q).  Starts from U = v with
+    e = r = 0, so q = 0 and s = -beta*theta*div_w(grad_w(v)).  e and the
+    gradient buffer are allocated once per call and updated in place:
+    once the solve has returned, the buffer is spent; its second plane
+    takes U's change for the stopping test, grad_w(U) fills it, e absorbs
+    it and cut clamps e, and the new s goes into its first plane.
     system is the inner solver's prepared system, which holds the weights
     w, theta and beta*theta, and its type picks the linear solver,
     fwsb_linear_solve or gauss_seidel_solve, whatever cfg.inner says; both
-    take the same arguments.  The loop looks up the solver, grad_w and
-    cut, and _change_rhs looks up div_w, as module-global names, so a wrapper
-    bound to a name (a tracer, say) sees every call: per sweep one linear
-    solve, one div_w (in the solve's right-hand side), one cut and one
-    grad_w, plus one grad_w(v) per call.  It stops once U's relative change falls
-    below tau (or max_outer is hit), testing from the second sweep on: the
-    first, with e = r = 0, only smooths v toward the quadratic penalty's
-    solution, and when the linear solve stops after one step its change
-    can fall below tau before any shrinkage has entered U.  cfg is the
-    run's forward_backward.SolverConfig, of which wsb_solve and the linear
-    solves read only lam, tau, max_outer and max_inner.  Returns (U, total
-    inner iterations, outer sweeps).
+    take the same arguments.  The loop looks up the solver, grad_w, div_w
+    and cut as module-global names, so a wrapper bound to a name (a
+    tracer, say) sees every call.  A call of k sweeps runs k linear
+    solves, k grad_w and k div_w, counting the grad_w(v) and div_w of the
+    cold start, and k - 1 cut: the last sweep returns before it shrinks,
+    since its shrink could not reach U.  It stops once U's relative change
+    falls below tau (or max_outer is hit), testing from the second sweep
+    on: the first, with e = r = 0, only smooths v toward the quadratic
+    penalty's solution, and when the linear solve stops after one step its
+    change can fall below tau before any shrinkage has entered U.  cfg is
+    the run's forward_backward.SolverConfig, of which wsb_solve and the
+    linear solves read only lam, tau, max_outer and max_inner.  Returns
+    (U, total inner iterations, outer sweeps).
     """
-    w = system.w
+    w, bt = system.w, system.bt
     lvl = cfg.lam / system.theta
     solve = fwsb_linear_solve if isinstance(system, FwsbSystem) else gauss_seidel_solve
     e = np.zeros((2, *v.shape))
-    h = grad_w(v, w)
-    np.negative(h, out=h)
+    q = 0.0  # div_w(e) of e = 0
+    g = grad_w(v, w)
+    s = -bt * div_w(g, w)
     u = v
     total_inner = 0
     for outer in range(1, cfg.max_outer + 1):
-        x, m = solve(v, h, u, cfg, system)
+        x, m = solve(v, s, u, cfg, system)
         total_inner += m
-        # h is spent: its first plane takes U's change for the test, then
-        # z = grad_w(U) + e and the new e = cut(z) fill its buffer; the old
-        # e's buffer turns into h = (e_old - e) - e
-        done = outer > 1 and _rel_change_done(
-            _norm(np.subtract(x, u, out=h[0])), _norm(u), cfg.tau
-        )
-        grad_w(x, w, out=h)
-        h += e
-        cut(h, lvl, out=h)
-        e -= h
-        e -= h
-        e, h = h, e
+        # g is spent: its second plane takes U's change for the test
+        if outer == cfg.max_outer or (outer > 1 and _rel_change_done(
+                _norm(np.subtract(x, u, out=g[1])), _norm(u), cfg.tau)):
+            return x, total_inner, outer
         u = x
-        if done:
-            break
-    return u, total_inner, outer
+        grad_w(x, w, out=g)
+        e += g
+        cut(e, lvl, out=e)
+        q_new = div_w(e, w)
+        s = np.subtract(q, q_new, out=g[0])
+        s -= q_new
+        s *= bt
+        q = q_new

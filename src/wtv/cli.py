@@ -334,7 +334,10 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    # built first, so that a bad size exits 2 before anything is written
+    # checked here to name the verb's flag; the cartoon, the deblur
+    # problem's test image, sets the minimum
+    if args.n < MIN_N["deblur"]:
+        raise ConfigError(f"--n must be at least {MIN_N['deblur']}, got {args.n}")
     images = (("shepp_logan", shepp_logan(args.n)), ("cartoon", piecewise_test_image(args.n)))
     outdir = resolve_outdir(args.out)
     for name, img in images:

@@ -234,18 +234,18 @@ def benchmark_literal(filename: str, name: str):
 def record_changes(system) -> list:
     """Norms of X_{m+1} - X_m, one per iteration of every later solve on system.
 
-    Wraps the instance's iterates(v, h, u), the protocol of both prepared
+    Wraps the instance's iterates(v, s, u), the protocol of both prepared
     systems.  For the relaxed fixed-point splitting the change
     X_{m+1} - X_m equals omega times the residual c - A X_m, with
-    c = v + beta*theta*div_w(h + grad_w(u)), so its ratios follow the
+    c = v + s + beta*theta*div_w(grad_w(u)), so its ratios follow the
     relaxed step's contraction.
     """
     changes = []
     iterates = system.iterates
 
-    def recording_iterates(v, h, u):
+    def recording_iterates(v, s, u):
         prev = u
-        for x in iterates(v, h, u):
+        for x in iterates(v, s, u):
             changes.append(float(np.linalg.norm(x - prev)))
             prev = x
             yield x

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from oracles import (
     direct_solve,
     gauss_seidel_step,
-    grad_matrices,
     laplacian_matrix,
     objective_backward,
     record_changes,
     residual_form_wsb,
     system_matrix,
 )
+import wtv.bregman
 from wtv.bregman import (
     FwsbSystem,
     GaussSeidelSystem,
@@ -133,25 +133,26 @@ def _random_system(rng, system):
     Draws the start, the auxiliary fields dx, dy, the Bregman fields ex, ey
     and then v.  The right-hand side is v + beta*theta*div_w(r), r = d - e,
     with the system's w and beta*theta; c is its value, for the dense
-    solve.  The linear solvers take it as v and h = r - grad_w(x0), stacked
-    (2, n, n), the field wsb_solve carries.  Returns (c, x0, v, h).
+    solve.  The linear solvers take it as v and the (n, n) divergence term
+    s = beta*theta*div_w(r - grad_w(x0)) that wsb_solve hands over.
+    Returns (c, x0, v, s).
     """
-    w = system.w
+    w, bt = system.w, system.bt
     x0, dx, dy, ex, ey, v = (rng.normal(size=(w.n, w.n)) for _ in range(6))
     r = np.stack((dx - ex, dy - ey))
-    return v + system.bt * div_w(r, w), x0, v, r - grad_w(x0, w)
+    return v + bt * div_w(r, w), x0, v, bt * div_w(r - grad_w(x0, w), w)
 
 
 def _solve(linear_solve, instance, p, system):
     """linear_solve on an instance of _random_system."""
-    _, x0, v, h = instance
-    return linear_solve(v, h, x0, p, system)
+    _, x0, v, s = instance
+    return linear_solve(v, s, x0, p, system)
 
 
-def _reference_rhs(v, h, u, system):
-    """(v - u) + beta*theta*div_w(h), the right-hand side of the change X - u,
-    in the prepared systems' order of operations."""
-    return system.bt * div_w(h, system.w) + v - u
+def _reference_rhs(v, s, u):
+    """(s + v) - u, the right-hand side of the change X - u, in the
+    prepared systems' order of operations."""
+    return s + v - u
 
 
 def _reference_rule(iterates, u, p):
@@ -165,20 +166,20 @@ def _reference_rule(iterates, u, p):
         prev = x
 
 
-def _reference_fwsb(v, h, u, system, omega):
+def _reference_fwsb(v, s, u, system, omega):
     """Iterates of the fixed-point iteration relaxed by omega, from u.
 
-    X <- X + omega*(v + beta*theta*div_w(h - grad_w(X - u)) - X) through
+    X <- X + omega*(s - beta*theta*div_w(grad_w(X - u)) + v - X) through
     grad_w and div_w, with the system's w and beta*theta: the relaxed step
-    on the change X - u, whose right-hand side is
-    (v - u) + beta*theta*div_w(h).  omega = 1 is the paper's unit step.
+    on the change X - u, whose right-hand side is (s + v) - u.  omega = 1
+    is the paper's unit step.
     """
     w, bt = system.w, system.bt
-    x, d = u, h
+    x, t = u, s
     while True:
-        x = x + omega * (bt * div_w(d, w) + v - x)
+        x = x + omega * (t + v - x)
         yield x
-        d = h - grad_w(x - u, w)
+        t = s - bt * div_w(grad_w(x - u, w), w)
 
 
 def _reference_gauss_seidel(b, u, system):
@@ -205,26 +206,28 @@ def _reference_gauss_seidel(b, u, system):
 
 
 def _reference_wsb(v, system, p, linear_solve):
-    """The split-Bregman loop written out with cut around linear_solve(v, h, x0).
+    """The split-Bregman loop written out with cut around linear_solve(v, s, x0).
 
-    linear_solve solves for v + beta*theta*div_w(h + grad_w(x0)), with
-    h = r - grad_w(U) stacked from (hx, hy), on system's w, theta and
-    beta*theta.  h starts at -grad_w(v) and after each shrink is
-    (e_prev - e) - e.
+    linear_solve solves for v + s + beta*theta*div_w(grad_w(x0)), with the
+    divergence term s = beta*theta*div_w(r - grad_w(U)), on system's w,
+    theta and beta*theta.  The Bregman field is kept as (ex, ey) and its
+    divergence as q.  s starts at -beta*theta*div_w(grad_w(v)) and after
+    each shrink is beta*theta*((q_prev - q) - q).  Every sweep shrinks,
+    the last one too.
     """
-    w, lvl = system.w, p.lam / system.theta
+    w, bt, lvl = system.w, system.bt, p.lam / system.theta
     u = v.copy()
-    ex = ey = np.zeros_like(v)
-    gx, gy = grad_w(v, w)
-    hx, hy = -gx, -gy
+    ex = ey = q = np.zeros_like(v)
+    s = -bt * div_w(grad_w(v, w), w)
     total = 0
     for sweep in range(1, p.max_outer + 1):
-        x, m = linear_solve(v, np.stack((hx, hy)), u)
+        x, m = linear_solve(v, s, u)
         total += m
         gx, gy = grad_w(x, w)
-        ex_new, ey_new = cut(gx + ex, lvl), cut(gy + ey, lvl)
-        hx, hy = (ex - ex_new) - ex_new, (ey - ey_new) - ey_new
-        ex, ey = ex_new, ey_new
+        ex, ey = cut(ex + gx, lvl), cut(ey + gy, lvl)
+        q_new = div_w(np.stack((ex, ey)), w)
+        s = bt * ((q - q_new) - q_new)
+        q = q_new
         diff, ref = np.linalg.norm(x - u), np.linalg.norm(u)
         u = x
         if sweep > 1 and ((diff <= p.tau * ref) if ref >= 1e-14 else (diff <= p.tau)):
@@ -262,8 +265,10 @@ class TestInnerSolvers:
         v = rng.normal(size=(8, 8))
         p = SolverConfig(lam=0.1, tau=1e-13, max_inner=50)
         for system_type, linear_solve in SOLVERS:
-            # r = 0, so h = r - grad_w(v)
-            x, m = linear_solve(v, -grad_w(v, w), v, p, system_type(w, 1e-3, 1e-14))
+            system = system_type(w, 1e-3, 1e-14)
+            # r = 0, so s = beta*theta*div_w(r - grad_w(v))
+            s = -system.bt * div_w(grad_w(v, w), w)
+            x, m = linear_solve(v, s, v, p, system)
             assert np.allclose(x, v, atol=1e-10)
 
     @pytest.mark.parametrize("system_type, linear_solve", SOLVERS, ids=SOLVER_IDS)
@@ -308,9 +313,9 @@ class TestInnerSolvers:
         beta = 0.9
         p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
         system = FwsbSystem(w, beta, 0.9)
-        _, x0, v, h = _random_system(rng, system)
-        x, m = fwsb_linear_solve(v, h, x0, p, system)
-        x_ref, m_ref = _reference_rule(_reference_fwsb(v, h, x0, system, system.omega), x0, p)
+        _, x0, v, s = _random_system(rng, system)
+        x, m = fwsb_linear_solve(v, s, x0, p, system)
+        x_ref, m_ref = _reference_rule(_reference_fwsb(v, s, x0, system, system.omega), x0, p)
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
         assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
@@ -335,9 +340,9 @@ class TestInnerSolvers:
         beta = 0.9
         p = SolverConfig(lam=0.1, tau=tau, max_inner=max_inner)
         system = GaussSeidelSystem(w, beta, 0.7)
-        _, x0, v, h = _random_system(rng, system)
-        x, m = gauss_seidel_solve(v, h, x0, p, system)
-        b = _reference_rhs(v, h, x0, system)
+        _, x0, v, s = _random_system(rng, system)
+        x, m = gauss_seidel_solve(v, s, x0, p, system)
+        b = _reference_rhs(v, s, x0)
         x_ref, m_ref = _reference_rule(_reference_gauss_seidel(b, x0, system), x0, p)
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
@@ -350,16 +355,15 @@ class TestInnerSolvers:
         # lexicographic step shares neither order nor arithmetic.  The
         # first three sweeps from delta = 0 agree with it to rounding, down
         # to the one-pixel corner diagonals.  U = 0, so each iterate is
-        # delta itself
+        # delta itself, and the right-hand side is v + s
         w = random_weights(n)
         beta = 0.9
         system = GaussSeidelSystem(w, beta, 0.7)
-        _, _, v, h = _random_system(rng, system)
-        gx, gy = grad_matrices(w)
-        c = v.ravel() + system.bt * (np.vstack((gx, gy)).T @ h.ravel())
+        _, _, v, s = _random_system(rng, system)
+        c = (v + s).ravel()
         a = system_matrix(w, beta, system.theta)
         delta = np.zeros(n * n)
-        for _, x in zip(range(3), system.iterates(v, h, np.zeros((n, n)))):
+        for _, x in zip(range(3), system.iterates(v, s, np.zeros((n, n)))):
             delta = gauss_seidel_step(a, c, delta)
             assert np.linalg.norm(x.ravel() - delta) <= 1e-13 * np.linalg.norm(delta)
 
@@ -380,15 +384,16 @@ class TestInnerSolvers:
         # every pixel.
         # The iterates are drawn from the system directly: the stopping
         # rule would end at the first, whose change is below any tau.  The
-        # system's right-hand side is substituted, since none formed from
-        # (v, h, U) holds a -0.0 pattern
+        # system's right-hand side is substituted: (s + v) - U with
+        # U = -0.0 adds +0.0, so none formed from (v, s, U) holds a -0.0
+        # pattern
         w = random_weights(n)
         beta = 0.9
         system = GaussSeidelSystem(w, beta, 0.7)
         u = np.full((n, n), -0.0)
         i, j = np.indices((n, n))
         b = np.where((i + j) % 2, -5e-324, zero)
-        system._change_rhs = lambda v, h, u: b
+        system._change_rhs = lambda v, s, u: b
         pairs = zip(system.iterates(None, None, u), _reference_gauss_seidel(b, u, system))
         for _, (x, x_ref) in zip(range(3), pairs):
             assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
@@ -423,10 +428,12 @@ class TestInnerSolvers:
         beta = 0.5
         p = SolverConfig(lam=0.1, tau=1e-10, max_inner=300)
         system = FwsbSystem(w, beta, 0.9)
-        c, x0, v, h = _random_system(rng, system)
-        x1, m1 = fwsb_linear_solve(v, h, x0, p, system)
-        # the same right-hand side from x1: h + grad_w(x0) = r
-        x2, m2 = fwsb_linear_solve(v, h + grad_w(x0, w) - grad_w(x1, w), x1, p, system)
+        c, x0, v, s = _random_system(rng, system)
+        x1, m1 = fwsb_linear_solve(v, s, x0, p, system)
+        # the same right-hand side from x1: s + beta*theta*div_w(grad_w(x0))
+        # is beta*theta*div_w(r)
+        s1 = s + system.bt * div_w(grad_w(x0 - x1, w), w)
+        x2, m2 = fwsb_linear_solve(v, s1, x1, p, system)
         assert m2 <= 2
         assert np.allclose(x2, x1, atol=1e-8)
 
@@ -499,19 +506,41 @@ class TestWsbSolve:
         system = system_type(w, beta, 0.5)
         u, total_inner, sweeps = wsb_solve(v, p, system)
         iterates = {
-            GaussSeidelSystem: lambda v, h, x0: _reference_gauss_seidel(
-                _reference_rhs(v, h, x0, system), x0, system
+            GaussSeidelSystem: lambda v, s, x0: _reference_gauss_seidel(
+                _reference_rhs(v, s, x0), x0, system
             ),
-            FwsbSystem: lambda v, h, x0: _reference_fwsb(v, h, x0, system, system.omega),
+            FwsbSystem: lambda v, s, x0: _reference_fwsb(v, s, x0, system, system.omega),
         }[system_type]
 
-        def linear_solve(v, h, x0):
-            return _reference_rule(iterates(v, h, x0), x0, p)
+        def linear_solve(v, s, x0):
+            return _reference_rule(iterates(v, s, x0), x0, p)
 
         u_ref, total_ref, sweeps_ref = _reference_wsb(v, system, p, linear_solve)
         assert (sweeps == max_outer) == (max_outer == 4)
         assert (sweeps, total_inner) == (sweeps_ref, total_ref)
         assert np.array_equal(u.view(np.int64), u_ref.view(np.int64))
+
+    @pytest.mark.parametrize("system_type", [FwsbSystem, GaussSeidelSystem])
+    @pytest.mark.parametrize("tau, max_outer", [(1e-4, 300), (1e-12, 4)],
+                             ids=["tau_stop", "max_outer_stop"])
+    def test_last_sweep_skips_the_shrink(
+        self, monkeypatch, rng, random_weights, tau, max_outer, system_type
+    ):
+        # the shrink after the last sweep could not reach the returned U,
+        # so a call of k sweeps runs cut k - 1 times, however it stops
+        calls = []
+
+        def counting_cut(*args, **kwargs):
+            calls.append(1)
+            return cut(*args, **kwargs)
+
+        monkeypatch.setattr(wtv.bregman, "cut", counting_cut)
+        p = SolverConfig(lam=0.03, tau=tau, max_outer=max_outer, max_inner=100)
+        system = system_type(random_weights(8), 0.9, 0.5)
+        _, _, sweeps = wsb_solve(rng.normal(size=(8, 8)), p, system)
+        assert (sweeps == max_outer) == (max_outer == 4)
+        assert sweeps > 1
+        assert len(calls) == sweeps - 1
 
     def test_inner_choices_converge_to_same_point(self, rng, random_weights):
         w = random_weights(12)
@@ -526,7 +555,7 @@ class TestWsbSolve:
     @pytest.mark.parametrize("system_type", [FwsbSystem, GaussSeidelSystem])
     @pytest.mark.parametrize("max_inner", [1, 3, 50])
     def test_matches_residual_form_oracle(self, rng, random_weights, system_type, max_inner):
-        # the carried h = r - grad_w(U) and the correction-form solves give
+        # the carried q = div_w(e) and the correction-form solves give
         # the textbook residual-form loop's iterates up to rounding: the
         # same sweeps and inner iterations, and U to 1e-12 relative
         w = random_weights(8)
@@ -544,9 +573,11 @@ class TestWsbSolve:
 
     def test_working_set_of_one_backward_step(self, rng, random_weights):
         # a default call at 64x64 peaks at 9.5 image-sized arrays above its
-        # start at most: U, the solve's iterate and right-hand side, the two
-        # stacked fields e and h, and passing temporaries.  tracemalloc
-        # sees numpy's buffers, so the count is exact and noise-free
+        # start at most (measured: 8.07): U, the solve's iterate and
+        # right-hand side, the stacked e and gradient buffer, q and the new
+        # div_w(e) with div_w's scratch, and passing temporaries.
+        # tracemalloc sees numpy's buffers, so the count is exact and
+        # noise-free
         n = 64
         w = random_weights(n)
         system = FwsbSystem(w, 0.9, 0.9)
@@ -561,21 +592,6 @@ class TestWsbSolve:
         finally:
             tracemalloc.stop()
         assert (peak - start) / v.nbytes <= 9.5
-
-    def test_table_form_rhs_identity(self, rng):
-        # soft(z) = z - cut(z) exactly, the identity from which wsb_solve
-        # derives h = e_prev - 2*e: d - e equals (z - e) - e for
-        # e = cut(z) bit for bit wherever they are nonzero (where both
-        # vanish, zeros may differ in sign), over magnitudes 1e-8 to 1e8
-        # and at |z| == lvl
-        for lvl in (1e-8, 1e-3, 3.0, 1e4, 1e8):
-            z = rng.normal(size=(16, 16)) * 10.0 ** rng.integers(-8, 9, size=(16, 16))
-            z[0, :4] = lvl, -lvl, np.nextafter(lvl, np.inf), -np.nextafter(lvl, 0.0)
-            e = cut(z, lvl)
-            textbook, carried = soft(z, lvl) - e, (z - e) - e
-            nonzero = (textbook != 0) | (carried != 0)
-            assert nonzero.any()
-            assert np.array_equal(textbook[nonzero].view(np.int64), carried[nonzero].view(np.int64))
 
 
 class TestObjectiveBackward:

@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -380,11 +382,33 @@ class TestMain:
 
     @pytest.mark.parametrize("n", [1, 8])
     def test_fixtures_bad_size_exits_two_before_writing(self, tmp_path, capsys, n):
-        # n = 1 is too small for the phantom, n = 8 only for the cartoon
+        # the verb's minimum is the cartoon's, and the message names its flag
         out = tmp_path / "fix"
         assert main(["fixtures", "--out", str(out), "--n", str(n)]) == 2
-        assert "configuration error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"configuration error: --n must be at least 32, got {n}\n"
+        )
         assert not out.exists()
+
+    def test_python_dash_m_exits_with_main_code(self, tmp_path):
+        # python -m wtv runs __main__.py, which exits with main()'s code
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+        def wtv(*argv):
+            return subprocess.run([sys.executable, "-m", "wtv", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True)
+
+        fix = tmp_path / "fix"
+        assert wtv("fixtures", "--out", str(fix), "--n", "32").returncode == 0
+        assert sorted(p.name for p in fix.iterdir()) == [
+            "cartoon.grid", "cartoon.pgm", "shepp_logan.grid", "shepp_logan.pgm"
+        ]
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(tiny_config_text(tmp_path / "out", wavelets=3))
+        bad = wtv("run", str(cfg_path))
+        assert bad.returncode == 2
+        assert bad.stderr.startswith("configuration error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
