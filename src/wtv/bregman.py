@@ -39,42 +39,34 @@ step.  theta must be finite and positive, so the shrink level
 lam/theta always exists.
 The loop's own settings, lam, tau and the iteration caps, are fields of
 the run's forward_backward.SolverConfig, the one settings object of a
-solve; this module reads no other field of it.  Two interchangeable
-linear solvers are provided:
+solve; this module reads no other field of it.
 
-* fwsb_linear_solve: relaxed fixed-point iteration
-  delta <- delta + omega*(b - delta - beta*theta*div_w(grad_w delta))
-  from the identity splitting of the system matrix, written with the
-  sweep's own two operators; no stencil is kept.  Each step adds omega
-  times the residual _change_rhs(v, s - beta*theta*div_w(grad_w(delta)),
-  X).  From delta = 0 that residual is b, so the first step,
-  X = U + omega*((s + v) - U), applies no operator, and a one-step solve
-  runs neither grad_w nor div_w: the linearised Bregman, or split inexact
-  Uzawa, form of the sweep (Zhang, Burger & Osher, J. Sci. Comput. 2011).
-  omega is Richardson's optimal relaxation for the Gershgorin interval
-  [1, 1 + theta/bound] of the system matrix, 2/(2 + theta/bound) with
-  bound = theta_bound(w, beta): it shrinks the largest error factor per
-  step from theta/bound (the unit step's slowest mode, which flips sign
-  every step) to (theta/bound)/(2 + theta/bound), so a solve cut off
-  after any number of steps, one included, hands the Bregman loop no
-  wrong-signed error to feed back.  The relaxed step contracts for any
-  theta > 0, so FwsbSystem does not hold theta to theta_bound, the
-  paper's condition beta*theta < 1/||Lap_w||_inf for the unit step.
-* gauss_seidel_solve: classic forward Gauss-Seidel sweeps in lexicographic
-  pixel order on b from 0.  The system is strictly diagonally dominant for
-  any theta > 0, so the sweeps always converge.  Each row is divided by
-  its diagonal (Jacobi scaling): with c' = beta*theta*c/diag for the
-  neighbour coefficients c, pixel (i, j) takes
-  (((b/diag + ce'*xE) + cs'*xS) + cw'*xW) + cn'*xN, east and south from
-  the previous sweep, west and north from this one; the first sweep,
-  whose previous iterate is 0, starts from b/diag alone.  Pixel (i, j)
-  reads only its west and north neighbours from the current sweep, so all
-  pixels on one anti-diagonal i + j = d can be updated at once (the
-  hyperplane or wavefront method, Lamport 1974).  A sweep after the first
-  forms the east and south part of every pixel in four numpy calls; each
-  sweep then runs one anti-diagonal at a time, four elementwise calls
-  each, for the west and north part.  A solve applies neither grad_w nor
-  div_w.
+Two interchangeable linear solvers are provided, fwsb_linear_solve and
+gauss_seidel_solve.  Both run one correction iteration, that of a
+splitting A = M - N of the system matrix (Saad, Iterative Methods for
+Sparse Linear Systems, 2003, sec. 4.1): _System.iterates hands each step
+the change equation's residual r = _change_rhs(v, t, X), with
+t = s - beta*theta*div_w(grad_w(X - U)), and the system's own
+_step(r, X) returns X + M^-1 r.  From delta = 0 that residual is b, so
+the first step applies no operator and m steps run m - 1 grad_w and
+m - 1 div_w; a one-step solve is the linearised Bregman, or split inexact
+Uzawa, form of the sweep (Zhang, Burger & Osher, J. Sci. Comput. 2011).
+FwsbSystem's step is M^-1 = omega*I, the identity splitting relaxed by
+Richardson's optimal omega = 2/(2 + theta/bound) for the Gershgorin
+interval [1, 1 + theta/bound] of the system matrix.  It shrinks the
+largest error factor per step from theta/bound (the unit step's slowest
+mode, which flips sign every step) to (theta/bound)/(2 + theta/bound), so
+a solve cut off after any number of steps, one included, hands the
+Bregman loop no wrong-signed error to feed back, and it contracts for any
+theta > 0: theta is not held to theta_bound, the paper's condition
+beta*theta < 1/||Lap_w||_inf for the unit step.
+GaussSeidelSystem's step is M = D + L, lexicographic Gauss-Seidel: M^-1 r
+is one forward substitution from 0, each row divided by its diagonal, so
+with c' = beta*theta*c/diag pixel (i, j) takes (r/diag + cw'*yW) + cn'*yN.
+It reads only its west and north neighbours, so all pixels on one
+anti-diagonal i + j = d are updated at once (the hyperplane or wavefront
+method, Lamport 1974), in four elementwise calls.  The system is strictly
+diagonally dominant for any theta > 0, so Gauss-Seidel always converges.
 
 In exact arithmetic both solvers' iterates equal those of the same solver
 started from U on the full right-hand side.  Both are one call to _solve,
@@ -167,7 +159,10 @@ class _System:
     """The weights w, bound, theta and bt = beta*theta of one system I - bt*Lap_w.
 
     Its one right-hand side, _change_rhs(v, s, U) = (s + v) - U, takes
-    wsb_solve's divergence term s as an (n, n) image.
+    wsb_solve's divergence term s as an (n, n) image.  It runs the
+    correction iteration of both linear solvers, iterates(v, s, U); a
+    subclass supplies only the step _step(r, X) = X + M^-1 r of its
+    splitting matrix M.
 
     Built from the run's kappa: theta = kappa*bound, with bound =
     theta_bound(w, beta) computed here once per weight field (theta_bound
@@ -192,6 +187,25 @@ class _System:
         b = np.add(s, v)
         return np.subtract(b, u, out=b)
 
+    def iterates(self, v: np.ndarray, s: np.ndarray, u: np.ndarray):
+        """Endless generator of the (n, n) iterate U + delta after each step from delta = 0.
+
+        Solves for the change X - U, whose right-hand side is
+        b = (s + v) - U, with s the (n, n) divergence term.  Each step hands
+        that equation's residual at the current X, _change_rhs(v, t, X)
+        with t = s - beta*theta*div_w(grad_w(X - U)), evaluated in that
+        order, to _step.  From X = U the residual is b itself, so the first
+        step applies no operator; m steps run m - 1 grad_w and m - 1 div_w.
+        Each iterate is a new array.
+        """
+        x, t = u, s
+        while True:
+            x = self._step(self._change_rhs(v, t, x), x)
+            yield x
+            t = div_w(grad_w(x - u, self.w), self.w)
+            t *= self.bt
+            np.subtract(s, t, out=t)
+
 
 class FwsbSystem(_System):
     """The system I - beta*theta*Lap_w for fast-splitting solves.
@@ -200,8 +214,8 @@ class FwsbSystem(_System):
     relaxation factor omega = 2/(2 + theta/bound), derived from the
     Gershgorin interval [1, 1 + theta/bound].  The error factor per step
     is then at most (theta/bound)/(2 + theta/bound) < 1 for any kappa > 0,
-    so theta is not held below bound.  It holds no per-pixel array of its
-    own: each step after the first applies grad_w and div_w.
+    so theta is not held below bound.  Its step adds omega times the
+    residual, M^-1 = omega*I, and it holds no per-pixel array of its own.
     """
 
     def __init__(self, w: WeightField, beta: float, kappa: float):
@@ -210,28 +224,11 @@ class FwsbSystem(_System):
         # Gershgorin's discs place in [1, 1 + theta/bound]
         self.omega = 2.0 / (2.0 + self.theta / self.bound)
 
-    def iterates(self, v: np.ndarray, s: np.ndarray, u: np.ndarray):
-        """Endless generator of the (n, n) iterate after each relaxed step from U.
-
-        Solves for the change X - U from 0, whose right-hand side is
-        b = (s + v) - U, with s the (n, n) divergence term.  Each step adds
-        omega times that equation's residual at the current X,
-        X <- X + omega*_change_rhs(v, t, X) with
-        t = s - beta*theta*div_w(grad_w(X - U)), evaluated in that order.
-        From X = U the residual is b itself, so the first step is
-        U + omega*((s + v) - U) and applies no operator; m steps run m - 1
-        grad_w and m - 1 div_w.  Each iterate is a new array.
-        """
-        x, t = u, s
-        while True:
-            x_new = self._change_rhs(v, t, x)
-            x_new *= self.omega
-            x_new += x
-            x = x_new
-            yield x
-            t = div_w(grad_w(x - u, self.w), self.w)
-            t *= self.bt
-            np.subtract(s, t, out=t)
+    def _step(self, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """X + omega*r, written into the residual r."""
+        r *= self.omega
+        r += x
+        return r
 
 
 def _solve(iterates, x0: np.ndarray, cfg):
@@ -257,13 +254,14 @@ def fwsb_linear_solve(v, s, u, cfg, system: FwsbSystem):
     Splitting the system matrix across the identity and relaxing the step
     by omega turns the solve for the change delta = X - U into
     delta <- delta + omega*(b - delta - beta*theta*div_w(grad_w delta))
-    from delta = 0, with b = (s + v) - U; system, the FwsbSystem that
-    holds the weights, beta, theta and omega, yields the iterates
-    U + delta.  s is the (n, n) divergence term that wsb_solve hands
-    over.  Each step shrinks the error by a factor of at most
-    (theta/bound)/(2 + theta/bound) < 1, with bound = theta_bound(w, beta).
-    Stops by the shared rule of _solve, reading only tau and max_inner
-    from cfg, the run's SolverConfig.  Returns (solution, iterations).
+    from delta = 0, with b = (s + v) - U: the shared correction iteration
+    of _System.iterates with the step of system, the FwsbSystem that
+    holds the weights, beta, theta and omega.  s is the (n, n) divergence
+    term that wsb_solve hands over.  Each step shrinks the error by a
+    factor of at most (theta/bound)/(2 + theta/bound) < 1, with
+    bound = theta_bound(w, beta).  Stops by the shared rule of _solve,
+    reading only tau and max_inner from cfg, the run's SolverConfig.
+    Returns (solution, iterations).
     """
     return _solve(system.iterates(v, s, u), u, cfg)
 
@@ -280,20 +278,15 @@ class GaussSeidelSystem(_System):
 
     Besides w, theta and beta*theta (see _System), holds the diagonal
     diag = 1 + beta*theta*(ce + cw + cs + cn) of one weight field and the
-    Jacobi-scaled neighbour coefficients beta*theta*c/diag, each in a
+    Jacobi-scaled west and north coefficients beta*theta*c/diag, each in a
     sheared (2n+1, n+2) plane whose row d+1 holds anti-diagonal d
     contiguously, with zero padding for the neighbours beyond the
     boundary.  The west and north neighbours of a diagonal then sit in the
-    row before it, the east and south ones in the row after.  A sweep
-    after the first forms every pixel's east and south part in four
-    one-dimensional numpy calls over whole planes, since those neighbours
-    still hold the previous iterate when their diagonal is reached; each
-    diagonal then adds its west and north products in four
-    one-dimensional calls.  All are views made here once.
+    row before it, so each diagonal of a forward substitution adds its two
+    products in four one-dimensional numpy calls on views made here once.
 
-    The iterate, partial-sum and product buffers, three sweep planes, live
-    in the system too, so one system serves one solve at a time: starting
-    a second iterates generator overwrites the first one's iterate.
+    The substitution and partial-sum buffers, two sweep planes, live in
+    the system too, so one system serves one solve at a time.
     """
 
     def __init__(self, w: WeightField, beta: float, kappa: float):
@@ -301,67 +294,40 @@ class GaussSeidelSystem(_System):
         n, bt = w.n, self.bt
         ce, cw, cs, cn = _stencil_coeffs(w)
         self._diag = 1.0 + bt * (ce + cw + cs + cn)
-        rows, cols = 2 * n + 1, n + 2
-        coef = np.zeros((4, rows, cols))
-        for plane, c in zip(coef, (ce, cs, cw, cn)):
+        planes = np.zeros((4, 2 * n + 1, n + 2))
+        for plane, c in zip(planes, (cw, cn)):
             _sheared_image(plane)[...] = bt * c / self._diag
-        ce, cs, cw, cn = coef
-        pre, tmp, x = np.zeros((3, rows, cols))
-        self._pre, self._x = _sheared_image(pre), _sheared_image(x)
-        # the pixel at flat index k of a plane has its east neighbour at
-        # k + cols and its south one at k + cols + 1, so the east and south
-        # part is taken over one contiguous run of every plane, rows 1 to
-        # 2n-1; where that run wraps from one row to the next it lands in a
-        # padding column, whose coefficients are zero and whose pre no
-        # diagonal reads
-        def run(plane, shift=0):
-            return plane.ravel()[cols + shift : (rows - 1) * cols - 1 + shift]
-
-        self._east_south = (
-            run(ce), run(x, cols), run(cs), run(x, cols + 1), run(pre), run(tmp)
-        )
+        cw, cn, pre, y = planes
+        self._pre, self._y = _sheared_image(pre), _sheared_image(y)
         self._diagonals = []
         for c in range(1, 2 * n):
             lo, hi = max(1, c - n + 1), min(c, n) + 1
             self._diagonals.append((
-                cw[c, lo:hi], x[c - 1, lo:hi], cn[c, lo:hi], x[c - 1, lo - 1 : hi - 1],
-                pre[c, lo:hi], x[c, lo:hi],
+                cw[c, lo:hi], y[c - 1, lo:hi], cn[c, lo:hi], y[c - 1, lo - 1 : hi - 1],
+                pre[c, lo:hi], y[c, lo:hi],
             ))
 
-    def iterates(self, v: np.ndarray, s: np.ndarray, u: np.ndarray):
-        """Endless generator of the (n, n) image U + delta after each forward sweep.
+    def _step(self, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """X + (D + L)^-1 r: one forward Gauss-Seidel sweep on r from 0.
 
-        Sweeps (I - beta*theta*Lap_w) delta = b for the change delta = X - U
-        from 0, with b = _change_rhs(v, s, U), each row divided by its
-        diagonal: with c' = beta*theta*c/diag, pixel (i, j) takes
-        (((b/diag + ce'*xE) + cs'*xS) + cw'*xW) + cn'*xN, east and south
-        from the previous sweep, west and north from this one.  The first
-        sweep's previous iterate is 0, so it starts from b/diag alone, which
-        goes straight into the partial-sum plane; a later sweep forms b/diag
-        there again and adds every pixel's east and south part.  Each
-        anti-diagonal then takes its west and north products and sums in
-        four elementwise calls.  The first sweep writes every pixel of the
-        iterate before it reads it, and no sweep writes the iterate's zero
-        padding, so nothing a previous solve left in the system is read.
+        Each row is divided by its diagonal: with c' = beta*theta*c/diag,
+        pixel (i, j) of the substitution y takes (r/diag + cw'*yW) + cn'*yN,
+        west and north from this sweep, one anti-diagonal at a time in
+        four elementwise calls.  r/diag goes straight into the partial-sum
+        plane.  Every pixel of y is written before it is read, and no step
+        writes y's zero padding, so nothing a previous step or solve left
+        in the system is read.
         """
-        b = self._change_rhs(v, s, u)
-        divide, multiply, add = np.divide, np.multiply, np.add
-        ce, xe, cs, xs, pre, tmp = self._east_south
-        divide(b, self._diag, out=self._pre)
-        while True:
-            # once added, a diagonal's part in pre is spent, and its row of
-            # pre takes the north product
-            for cw, xw, cn, xn, p, xd in self._diagonals:
-                multiply(cw, xw, xd)
-                add(p, xd, xd)
-                multiply(cn, xn, p)
-                add(xd, p, xd)
-            yield u + self._x
-            divide(b, self._diag, out=self._pre)
-            multiply(ce, xe, tmp)
-            add(pre, tmp, pre)
-            multiply(cs, xs, tmp)
-            add(pre, tmp, pre)
+        multiply, add = np.multiply, np.add
+        np.divide(r, self._diag, out=self._pre)
+        # once added, a diagonal's part in pre is spent, and its row of
+        # pre takes the north product
+        for cw, yw, cn, yn, p, yd in self._diagonals:
+            multiply(cw, yw, yd)
+            add(p, yd, yd)
+            multiply(cn, yn, p)
+            add(yd, p, yd)
+        return x + self._y
 
 
 def gauss_seidel_solve(v, s, u, cfg, system: GaussSeidelSystem):
@@ -369,15 +335,16 @@ def gauss_seidel_solve(v, s, u, cfg, system: GaussSeidelSystem):
 
     Solves (I - beta*theta*Lap_w) X = v + s + beta*theta*div_w(grad_w U)
     for the change X - U from 0, on b = (s + v) - U, with s the (n, n)
-    divergence term that wsb_solve hands over, each row divided by its
-    diagonal and applying neither grad_w nor div_w; valid for any
-    theta > 0 thanks to strict diagonal dominance.  The first sweep starts from b/diag, later
-    ones add the previous sweep's east and south neighbours to it.  system,
-    the GaussSeidelSystem that holds the weights, beta and theta, yields
-    the iterates U + delta; it holds the sweeps' buffers too, so it must
-    serve one solve at a time.  Stops by the shared rule of _solve,
-    reading only tau and max_inner from cfg, the run's SolverConfig.
-    Returns (solution, sweeps).
+    divergence term that wsb_solve hands over: the shared correction
+    iteration of _System.iterates, each step one forward substitution
+    (D + L)^-1 on the residual; valid for any theta > 0 thanks to strict
+    diagonal dominance.  The first sweep applies neither grad_w nor div_w,
+    and each later one forms its residual with one of each.  system, the
+    GaussSeidelSystem that holds the weights, beta and theta, yields the
+    iterates U + delta; it holds the sweeps' buffers too, so it must serve
+    one solve at a time.  Stops by the shared rule of _solve, reading only
+    tau and max_inner from cfg, the run's SolverConfig.  Returns
+    (solution, sweeps).
     """
     return _solve(system.iterates(v, s, u), u, cfg)
 

@@ -364,8 +364,11 @@ class TestModuleGlobalLookup:
     grad_w, div_w and cut through their module-global names, so a wrapper
     bound to a name (the benchmark tracer's, say) sees every call."""
 
-    @pytest.mark.parametrize("inner", INNER_SOLVERS)
-    def test_wrappers_see_every_call(self, monkeypatch, inner):
+    @pytest.mark.parametrize("inner, max_inner", [
+        *(pytest.param(inner, 1, id=inner) for inner in INNER_SOLVERS),
+        *(pytest.param(inner, 3, id=f"{inner}-max_inner3") for inner in INNER_SOLVERS),
+    ])
+    def test_wrappers_see_every_call(self, monkeypatch, inner, max_inner):
         counts = {"iters": 0, "gs_builds": 0, "weight_updates": 0, "sweeps": 0,
                   "grad_w": 0, "div_w": 0, "cut": 0, "forward_step": 0,
                   "power_method": 0, "theta_bound": 0}
@@ -400,9 +403,8 @@ class TestModuleGlobalLookup:
             wrap(module, "theta_bound", "theta_bound")
 
         truth, model, z = small_cs_problem(n=16)
-        cfg = SolverConfig(
-            r0=3e-5, weight_mode="adaptive", mu_scale=7.5e-5, max_fb=5, inner=inner
-        )
+        cfg = SolverConfig(r0=3e-5, weight_mode="adaptive", mu_scale=7.5e-5, max_fb=5,
+                           inner=inner, max_inner=max_inner)
         _, trace = afb_solve(model, z, cfg)
         assert counts["iters"] == sum(trace.inner_iters) > 0
         # one forward step per FB step, one step-size bound per run
@@ -423,10 +425,14 @@ class TestModuleGlobalLookup:
         assert counts["theta_bound"] == counts["weight_updates"]
         # one grad_w and one div_w per Bregman sweep, each one layer of the
         # benchmark: the first sweep's are those of the cold start, which
-        # a one-step solve needs none of.  A backward step's last sweep
-        # returns before its shrink, so each step runs one cut fewer
+        # a one-step solve needs none of.  Each step of a linear solve
+        # after its first runs one more of each, under either solver.  A
+        # backward step's last sweep returns before its shrink, so each
+        # step runs one cut fewer
         assert counts["sweeps"] > len(trace) - 1
-        assert counts["grad_w"] == counts["div_w"] == counts["sweeps"]
+        later_steps = counts["iters"] - len(configs["iters"])
+        assert (later_steps > 0) == (max_inner > 1)
+        assert counts["grad_w"] == counts["div_w"] == counts["sweeps"] + later_steps
         assert counts["cut"] == counts["sweeps"] - (len(trace) - 1)
 
     def test_tracer_hooks_exist(self):

@@ -182,27 +182,29 @@ def _reference_fwsb(v, s, u, system, omega):
         t = s - bt * div_w(grad_w(x - u, w), w)
 
 
-def _reference_gauss_seidel(b, u, system):
-    """Iterates u + delta of lexicographic Gauss-Seidel one pixel at a time
-    on system's w and beta*theta, from delta = 0, each row divided by its
-    diagonal: pixel (i, j) takes (((b/diag + ce'*xE) + cs'*xS) + cw'*xW)
-    + cn'*xN with c' = beta*theta*c/diag.  The first sweep, whose east and
-    south neighbours are still 0, takes no east or south term."""
-    n, bt = b.shape[0], system.bt
-    ce, cw, cs, cn = _stencil_coeffs(system.w)
+def _reference_gauss_seidel(v, s, u, system, rhs=_reference_rhs):
+    """Iterates of lexicographic Gauss-Seidel in correction form, from u.
+
+    Each step forms the residual r = rhs(v, t, X), (t + v) - X with
+    t = s - beta*theta*div_w(grad_w(X - u)) through grad_w and div_w on
+    system's w and beta*theta, solves (D + L) y = r by forward
+    substitution one pixel at a time from y = 0, each row divided by its
+    diagonal: pixel (i, j) takes (r/diag + cw'*yW) + cn'*yN with
+    c' = beta*theta*c/diag, and steps to X + y.
+    """
+    w, n, bt = system.w, u.shape[0], system.bt
+    ce, cw, cs, cn = _stencil_coeffs(w)
     diag = 1.0 + bt * (ce + cw + cs + cn)
-    ce, cw, cs, cn = (bt * c / diag for c in (ce, cw, cs, cn))
-    b = b / diag
-    x = np.zeros((n + 2, n + 2))  # zero ring: reads beyond the grid
-    later = False
+    cw, cn = (bt * c / diag for c in (cw, cn))
+    x, t = u, s
     while True:
+        r = rhs(v, t, x) / diag
+        y = np.zeros((n + 2, n + 2))  # zero ring: reads beyond the grid
         for i, j in np.ndindex(n, n):
-            s = b[i, j]
-            if later:
-                s = s + ce[i, j] * x[i + 1, j + 2] + cs[i, j] * x[i + 2, j + 1]
-            x[i + 1, j + 1] = s + cw[i, j] * x[i + 1, j] + cn[i, j] * x[i, j + 1]
-        yield u + x[1:-1, 1:-1]
-        later = True
+            y[i + 1, j + 1] = r[i, j] + cw[i, j] * y[i + 1, j] + cn[i, j] * y[i, j + 1]
+        x = x + y[1:-1, 1:-1]
+        yield x
+        t = s - bt * div_w(grad_w(x - u, w), w)
 
 
 def _reference_wsb(v, system, p, linear_solve):
@@ -342,8 +344,7 @@ class TestInnerSolvers:
         system = GaussSeidelSystem(w, beta, 0.7)
         _, x0, v, s = _random_system(rng, system)
         x, m = gauss_seidel_solve(v, s, x0, p, system)
-        b = _reference_rhs(v, s, x0)
-        x_ref, m_ref = _reference_rule(_reference_gauss_seidel(b, x0, system), x0, p)
+        x_ref, m_ref = _reference_rule(_reference_gauss_seidel(v, s, x0, system), x0, p)
         assert m == m_ref
         assert (m < max_inner) == (max_inner == 500)
         assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
@@ -367,34 +368,63 @@ class TestInnerSolvers:
             delta = gauss_seidel_step(a, c, delta)
             assert np.linalg.norm(x.ravel() - delta) <= 1e-13 * np.linalg.norm(delta)
 
+    @pytest.mark.parametrize("system_type", [FwsbSystem, GaussSeidelSystem])
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 32])
+    def test_steps_from_nonzero_start_match_dense_step(self, rng, random_weights, system_type, n):
+        # from U = 0 the test above never checks a later step's residual
+        # s - beta*theta*div_w(grad_w(X - U)) + v - X.  From a random U,
+        # the first three steps of both solvers (max_inner = 3) agree to
+        # rounding with the dense step X + M^-1 (c - A X) on the full
+        # right-hand side c, which shares neither the correction form nor
+        # the operators: M = tril(A) for Gauss-Seidel, M^-1 = omega*I for
+        # the relaxed splitting.  The changes X - U are compared
+        w = random_weights(n)
+        beta = 0.9
+        system = system_type(w, beta, 0.7)
+        c, x0, v, s = _random_system(rng, system)
+        a = system_matrix(w, beta, system.theta)
+        precondition = {
+            GaussSeidelSystem: lambda r: np.linalg.solve(np.tril(a), r),
+            FwsbSystem: lambda r: system.omega * r,
+        }[system_type]
+        x_dense = x0.ravel()
+        for _, x in zip(range(3), system.iterates(v, s, x0)):
+            x_dense = x_dense + precondition(c.ravel() - a @ x_dense)
+            delta = x_dense - x0.ravel()
+            assert np.linalg.norm((x - x0).ravel() - delta) <= 1e-13 * np.linalg.norm(delta)
+
     @pytest.mark.parametrize("n, zero", [(3, -0.0), (8, -0.0), (3, 0.0), (8, 0.0)],
                              ids=["underflow-3", "underflow-8", "underflow-plus-zero-3",
                                   "underflow-plus-zero-8"])
     def test_gauss_seidel_signed_zeros_equal_reference_loop(self, random_weights, n, zero):
-        # U = -0.0 adds nothing to any delta, signed zeros included.  b
-        # alternates the smallest negative subnormal with a zero, so
-        # products underflow to -0.0.  With -0.0, the first sweep keeps a
-        # -0.0 b/diag only if it adds no east or south term, and from the
-        # second sweep on all five terms of the sum are -0.0 on half the
-        # pixels; only a sum that starts from b/diag itself keeps that
-        # sign.  With +0.0, an interior pixel's sum is +0.0 only if its
-        # b/diag stays +0.0, since its other terms are all -0.0.  A
-        # right-hand side of random +-0.0 adds no check to these: the zero
-        # padding makes every boundary sum +0.0, and the +0.0 spreads to
-        # every pixel.
+        # U = -0.0 adds nothing to any correction y, signed zeros included.
+        # The residual r alternates the smallest negative subnormal with a
+        # zero, so products underflow to -0.0.  With -0.0, a pixel whose
+        # west and north terms are -0.0 keeps a -0.0 sum only if the sum
+        # starts from r/diag itself, not from a +0.0 that r/diag is added
+        # to.  With +0.0, an interior pixel's sum is +0.0 only if its
+        # r/diag stays +0.0, since its other terms are all -0.0.  A
+        # residual of random +-0.0 adds no check to these: the zero padding
+        # makes every boundary sum +0.0, and the +0.0 spreads to every
+        # pixel.
         # The iterates are drawn from the system directly: the stopping
         # rule would end at the first, whose change is below any tau.  The
-        # system's right-hand side is substituted: (s + v) - U with
-        # U = -0.0 adds +0.0, so none formed from (v, s, U) holds a -0.0
-        # pattern
+        # residual of every step is substituted, on both sides: (t + v) - X
+        # with X = -0.0 adds +0.0, so none formed from (v, t, X) holds a
+        # -0.0 pattern.  v and s are real arrays, so each step after the
+        # first still forms t through grad_w and div_w
         w = random_weights(n)
         beta = 0.9
         system = GaussSeidelSystem(w, beta, 0.7)
-        u = np.full((n, n), -0.0)
+        u, v, s = np.full((n, n), -0.0), np.zeros((n, n)), np.zeros((n, n))
         i, j = np.indices((n, n))
         b = np.where((i + j) % 2, -5e-324, zero)
-        system._change_rhs = lambda v, s, u: b
-        pairs = zip(system.iterates(None, None, u), _reference_gauss_seidel(b, u, system))
+
+        def rhs(v, t, x):
+            return b
+
+        system._change_rhs = rhs
+        pairs = zip(system.iterates(v, s, u), _reference_gauss_seidel(v, s, u, system, rhs))
         for _, (x, x_ref) in zip(range(3), pairs):
             assert np.array_equal(x.view(np.int64), x_ref.view(np.int64))
 
@@ -506,9 +536,7 @@ class TestWsbSolve:
         system = system_type(w, beta, 0.5)
         u, total_inner, sweeps = wsb_solve(v, p, system)
         iterates = {
-            GaussSeidelSystem: lambda v, s, x0: _reference_gauss_seidel(
-                _reference_rhs(v, s, x0), x0, system
-            ),
+            GaussSeidelSystem: lambda v, s, x0: _reference_gauss_seidel(v, s, x0, system),
             FwsbSystem: lambda v, s, x0: _reference_fwsb(v, s, x0, system, system.omega),
         }[system_type]
 
