@@ -2,8 +2,9 @@
 
 Minimises 1/2 ||A u - z||^2 + lam * WTV_w(u) by alternating an explicit
 gradient step on the data term with the split-Bregman proximal solve of the
-weighted-TV term, plus momentum extrapolation on a t-sequence
-t_n = (n + a + 1)/a, restarted by a gradient test under fixed weights.
+weighted-TV term, plus momentum extrapolation by alpha_k = k/(k + a + 1),
+the weight of the schedule t_n = (n + a + 1)/a, restarted by a gradient test
+under fixed weights.
 The gradient step size beta must stay below 1/lambda_max(A^T A),
 validated at entry against the largest Gram multiplier of the forward
 model, which is exact.
@@ -12,6 +13,7 @@ model, which is exact.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,7 +27,7 @@ from .bregman import (
 )
 from .errors import ConfigError, DivergenceError
 from .grid import WeightField, unit_weights, weighted_tv
-from .metrics import Stopwatch, psnr
+from .metrics import psnr
 from .operators import ForwardModel, power_method
 from .potential import MIN_MU, LogExpParams, compute_weights, default_mu
 
@@ -44,7 +46,7 @@ WEIGHT_MODES = ("uniform", "fixed", "adaptive")
 # The run's kappa = theta/theta_bound(w, beta): each prepared system sets
 # theta = KAPPA*bound, which fixes the fast-splitting relaxation
 # omega = 2/(2 + kappa) and the shrink level lam/theta (the choice of kappa
-# is ROADMAP item 3).  The systems call theta_bound themselves; it stays
+# is ROADMAP item 5).  The systems call theta_bound themselves; it stays
 # importable from this module only because perfbench/tracer.py hooks the
 # name here, and a missing hook fails the benchmark's selftest.
 KAPPA = 0.9
@@ -73,10 +75,12 @@ class SolverConfig:
     With weight_mode fixed or uniform the momentum restarts (the gradient
     test of O'Donoghue & Candes, FoCM 2015): a step whose backward output
     u_tilde satisfies (u - u_tilde) . (u_tilde - u_tilde_prev) > 0, with u
-    the point its forward step started from, applies alpha = 0, and later
-    steps count the schedule from there.  Adaptive weights keep the plain
-    schedule, since each weight rebuild changes the objective.  no_accel
-    sets alpha = 0 on every step.
+    the point its forward step started from, sets k = 0, so it applies
+    alpha = 0 and later steps count the schedule from there.  Adaptive
+    weights keep the plain schedule, since each weight rebuild changes the
+    objective.  no_accel sets k = 0 on every step.  Any positive finite a
+    is accepted: the weight k/(k + a + 1) stays in [0, 1) however small a
+    is.
     """
 
     lam: float | None = None
@@ -112,9 +116,6 @@ class SolverConfig:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_fb < 1:
             raise ConfigError(f"max_fb must be at least 1, got {self.max_fb}")
-        if not math.isfinite((self.max_fb + self.a + 1) / self.a):
-            raise ConfigError(f"a={self.a!r} is too small: t_n = (n + a + 1)/a overflows "
-                              f"within max_fb={self.max_fb} steps")
         if not (math.isfinite(self.mu_scale) and self.mu_scale > 0):
             raise ConfigError(f"mu_scale must be positive and finite, got {self.mu_scale}")
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -132,7 +133,8 @@ class RunTrace:
     Row n = 0 describes the starting point adjoint(z); rel_change is NaN
     there, and alpha, inner_iters and sweeps are 0 (append's defaults for
     the last two).  alpha is the momentum weight a step applied, sweeps its
-    Bregman sweep count.  cum_seconds accumulates wall time and is the only
+    Bregman sweep count.  cum_seconds accumulates the wall time of setup
+    and of each step, without the logging of any row, and is the only
     column that may differ between reruns of the same configuration.
     """
 
@@ -171,14 +173,15 @@ def forward_step(
     return u + beta * (atz - normal)
 
 
-def fista_alpha(n: int, a: float) -> float:
-    """Extrapolation coefficient (t_{n-1} - 1) / t_n with t_n = (n + a + 1)/a.
+def fista_alpha(k: int, a: float) -> float:
+    """Extrapolation weight k/(k + a + 1) = (t_{k-1} - 1)/t_k, t_n = (n + a + 1)/a.
 
-    Takes n >= 1 and a > 0 unchecked: SolverConfig has checked a.
+    The closed form of the schedule's weight (Chambolle & Dossal, JOTA
+    2015): 0 at k = 0, below 1 for every k, and equal to the t-form bit for
+    bit at the default a = 2.  Takes k >= 0 and a > 0 unchecked:
+    SolverConfig has checked a.
     """
-    t_prev = (n + a) / a
-    t_cur = (n + a + 1) / a
-    return (t_prev - 1.0) / t_cur
+    return k / (k + a + 1.0)
 
 
 def objective_composite(
@@ -230,14 +233,16 @@ def afb_solve(
     below cfg.epsilon or after cfg.max_fb steps.  Step n extrapolates by
     alpha = fista_alpha(k, cfg.a), k the steps since the last momentum
     restart (see SolverConfig; k = n with adaptive weights); a restart step
-    and every step under no_accel apply alpha = 0.  On the 128x128 and
-    256x256 deblur runs measured the restart fired once, on the step where
-    the run then stopped, so it cut the momentum's overshoot tail and left
-    every earlier iterate as it was.  A non-finite iterate raises
-    DivergenceError naming the iteration; a beta at or above
-    1/lambda_max(A^T A), or an r0 whose lam overflows, raises ConfigError
-    before the first step.  When lam is unset it is resolved
-    from r0 once, into a copy of cfg that every backward step then reads.
+    and every step under no_accel set k = 0, so they apply alpha = 0.  On
+    the 128x128 and 256x256 deblur runs measured the restart fired once, on
+    the step where the run then stopped, so it cut the momentum's overshoot
+    tail and left every earlier iterate as it was.  The trace's cum_seconds
+    sums time.perf_counter spans over setup and over each step, leaving out
+    the logging of every row.  A non-finite iterate raises DivergenceError
+    naming the iteration; a beta at or above 1/lambda_max(A^T A), or an r0
+    whose lam overflows, raises ConfigError before the first step.  When
+    lam is unset it is resolved from r0 once, into a copy of cfg that every
+    backward step then reads.
     """
     if z.shape != (model.n, model.n):
         raise ConfigError(f"data shape {z.shape} != model ({model.n}, {model.n})")
@@ -248,19 +253,19 @@ def afb_solve(
             f"beta={cfg.beta:.6g} must stay below 1/lambda_max = {1.0 / lam_max:.6g}"
         )
 
-    sw = Stopwatch()
-    with sw.scope():
-        atz = u = model.adjoint(z)
-        if cfg.lam is None:
-            norm = float(np.abs(u).sum())
-            lam = cfg.r0 * norm
-            if not math.isfinite(lam):
-                raise ConfigError(f"r0={cfg.r0!r} times ||adjoint(z)||_1 = {norm!r} "
-                                  f"gives lam={lam!r}, which is not finite")
-            cfg = replace(cfg, lam=lam)
-        w, mu = _build_weights(u, cfg, None)
-        system = _build_system(w, cfg)
-        u_tilde_prev = u
+    start = time.perf_counter()
+    atz = u = model.adjoint(z)
+    if cfg.lam is None:
+        norm = float(np.abs(u).sum())
+        lam = cfg.r0 * norm
+        if not math.isfinite(lam):
+            raise ConfigError(f"r0={cfg.r0!r} times ||adjoint(z)||_1 = {norm!r} "
+                              f"gives lam={lam!r}, which is not finite")
+        cfg = replace(cfg, lam=lam)
+    w, mu = _build_weights(u, cfg, None)
+    system = _build_system(w, cfg)
+    u_tilde_prev = u
+    seconds = time.perf_counter() - start
 
     trace = RunTrace()
 
@@ -271,7 +276,7 @@ def afb_solve(
             val,
             objective_composite(obj_image, model, z, w, cfg.lam),
             rel,
-            sw.elapsed,
+            seconds,
             inner,
             alpha,
             sweeps,
@@ -279,32 +284,31 @@ def afb_solve(
 
     log(0, u, u, float("nan"), 0)
 
-    # gradient restart; each weight rebuild changes the objective, so
-    # adaptive weights keep the plain schedule
-    restarts = not cfg.no_accel and cfg.weight_mode != "adaptive"
+    # a gradient restart, and every step under no_accel, sets k = 0; each
+    # weight rebuild changes the objective, so adaptive weights never restart
+    restarts = cfg.weight_mode != "adaptive"
     k = 0  # steps since the momentum last restarted
     for it in range(1, cfg.max_fb + 1):
-        with sw.scope():
-            if cfg.weight_mode == "adaptive" and it > 1:
-                w, mu = _build_weights(u, cfg, mu)
-                system = _build_system(w, cfg)
-            v = forward_step(u, model, atz, cfg.beta)
-            u_tilde, m_inner, sweeps = wsb_solve(v, cfg, system)
-            step = u_tilde - u_tilde_prev
-            k += 1
-            if restarts and np.vdot(u - u_tilde, step) > 0:
-                k = 0
-            alpha = 0.0 if cfg.no_accel or k == 0 else fista_alpha(k, cfg.a)
-            u_new = u_tilde + alpha * step
-            if not np.all(np.isfinite(u_new)):
-                raise DivergenceError(
-                    f"iterate became non-finite at forward-backward step {it}", it
-                )
-            new_norm = float(np.linalg.norm(u_new))
-            diff_norm = float(np.linalg.norm(u_new - u))
-            rel = diff_norm / new_norm if new_norm >= 1e-14 else diff_norm
-            u = u_new
-            u_tilde_prev = u_tilde
+        start = time.perf_counter()
+        if cfg.weight_mode == "adaptive" and it > 1:
+            w, mu = _build_weights(u, cfg, mu)
+            system = _build_system(w, cfg)
+        v = forward_step(u, model, atz, cfg.beta)
+        u_tilde, m_inner, sweeps = wsb_solve(v, cfg, system)
+        step = u_tilde - u_tilde_prev
+        k = 0 if cfg.no_accel or restarts and np.vdot(u - u_tilde, step) > 0 else k + 1
+        alpha = fista_alpha(k, cfg.a)
+        u_new = u_tilde + alpha * step
+        if not np.all(np.isfinite(u_new)):
+            raise DivergenceError(
+                f"iterate became non-finite at forward-backward step {it}", it
+            )
+        new_norm = float(np.linalg.norm(u_new))
+        diff_norm = float(np.linalg.norm(u_new - u))
+        rel = diff_norm / new_norm if new_norm >= 1e-14 else diff_norm
+        u = u_new
+        u_tilde_prev = u_tilde
+        seconds += time.perf_counter() - start
         log(it, u, u_tilde, rel, m_inner, alpha, sweeps)
         if rel < cfg.epsilon:
             break

@@ -1,13 +1,10 @@
-"""Reconstruction quality measures and a small accumulating stopwatch."""
+"""Reconstruction quality measures: RMSE and PSNR against a reference image."""
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-
 import numpy as np
 
-__all__ = ["rmse", "psnr", "Stopwatch"]
+__all__ = ["rmse", "psnr"]
 
 
 def rmse(u: np.ndarray, x: np.ndarray) -> float:
@@ -32,17 +29,3 @@ def psnr(u: np.ndarray, x: np.ndarray) -> float:
         return float("inf")
     return float(20.0 * np.log10(peak / err))
 
-
-class Stopwatch:
-    """Wall-clock accumulator; scopes add their elapsed time to the total."""
-
-    def __init__(self):
-        self.elapsed = 0.0
-
-    @contextmanager
-    def scope(self):
-        t0 = time.perf_counter()
-        try:
-            yield self
-        finally:
-            self.elapsed += time.perf_counter() - t0

@@ -21,7 +21,6 @@ from wtv.bregman import (
     fwsb_linear_solve,
     gauss_seidel_solve,
     soft,
-    theta_bound,
     wsb_solve,
 )
 from wtv.cli import build_problem, load_config
@@ -97,13 +96,12 @@ def test_criterion_02_splitting_contracts_below_spectral_radius():
     for _ in range(20):
         beta = 0.5
         system, _, x0, v, s = _random_instance(rng, beta)
-        w, theta = system.w, system.theta
+        w, theta, omega = system.w, system.theta, system.omega
         # the spectral radius of beta*theta*Lap_w, from the dense matrix
         rho = beta * theta * float(np.max(np.abs(np.linalg.eigvalsh(laplacian_matrix(w)))))
         assert rho < 1.0
         # the relaxed step's iteration matrix (1 - omega)*I + omega*s*Lap_w
         # has its spectrum in [1 - omega - omega*rho, 1 - omega]
-        omega = 2 / (2 + theta / theta_bound(w, beta))
         relaxed = max(1 - omega, abs(1 - omega - omega * rho))
         p = SolverConfig(lam=0.1, tau=1e-13, max_inner=400)
         residuals = record_changes(system)

@@ -1,6 +1,7 @@
 """Accelerated forward-backward driver: steps, schedule, trace, stopping."""
 
 import importlib
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -79,6 +80,14 @@ class TestFistaAlpha:
         for k in (1, 2, 17, 10**3, 10**6):
             assert fista_alpha(k, a) == pytest.approx(alpha[k - 1], rel=1e-15)
 
+    @pytest.mark.parametrize("a", [2.0, 3.0, 1e-308, 1e-310])
+    def test_zero_at_restart_and_below_one(self, a):
+        # a restart sets k = 0; the t-form (t_{k-1} - 1)/t_k gives inf/inf
+        # from k = 1 on at a subnormal a, the closed form stays in [0, 1)
+        assert fista_alpha(0, a) == 0.0
+        alphas = [fista_alpha(k, a) for k in range(1, 201)]
+        assert all(0.0 < alpha < 1.0 for alpha in alphas)
+
 
 class TestSolverConfig:
     def test_requires_lam_or_r0(self):
@@ -101,12 +110,12 @@ class TestSolverConfig:
                     {"max_inner": 0}):
             with pytest.raises(ConfigError):
                 SolverConfig(lam=0.1, **bad)
-        # t_n = (n + a + 1)/a overflows within max_fb steps: fista_alpha
-        # gives NaN from step 1 at a = 1e-310 and from step 2 at a = 1e-308
-        for a in (1e-310, 1e-308):
-            with pytest.raises(ConfigError, match="a=.* is too small"):
+        for a in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="a must be positive and finite"):
                 SolverConfig(lam=0.1, a=a)
-        assert SolverConfig(lam=0.1, a=1e-300).a == 1e-300
+        # however small a is, k/(k + a + 1) stays in [0, 1)
+        for a in (1e-300, 1e-308, 1e-310):
+            assert SolverConfig(lam=0.1, a=a).a == a
 
 
 class TestAfbSolve:
@@ -277,7 +286,7 @@ class TestAfbSolve:
             k += 1
             if np.vdot(u - u_tilde, u_tilde - u_tilde_prev) > 0:
                 k = 0
-            alphas.append(fista_alpha(k, cfg.a) if k else 0.0)
+            alphas.append(fista_alpha(k, cfg.a))
             sweeps.append(m)
             u = u_tilde + alphas[-1] * (u_tilde - u_tilde_prev)
             u_tilde_prev = u_tilde
@@ -295,7 +304,33 @@ class TestAfbSolve:
         cfg = SolverConfig(lam=1e-3, weight_mode="adaptive", mu_scale=7.5e-5, max_fb=10)
         _, trace = afb_solve(model, z, cfg)
         assert len(trace) - 1 == cfg.max_fb
-        assert trace.alpha == [0.0] + [fista_alpha(n, cfg.a) for n in range(1, len(trace))]
+        assert trace.alpha == [fista_alpha(n, cfg.a) for n in range(len(trace))]
+
+    @pytest.mark.parametrize("a", [1e-310, 1e-308])
+    def test_subnormal_a_runs(self, a):
+        # no t_n is formed, so nothing overflows however small a is
+        truth, model, z = small_cs_problem()
+        cfg = SolverConfig(lam=1e-3, a=a, weight_mode="uniform", max_fb=8)
+        u, trace = afb_solve(model, z, cfg)
+        assert np.all(np.isfinite(u))
+        assert all(0.0 <= alpha < 1.0 for alpha in trace.alpha)
+        assert max(trace.alpha) > 0.0
+
+    def test_cum_seconds_leaves_out_logging(self, monkeypatch):
+        # each trace row evaluates the objective; slowed by 50 ms a call,
+        # the logging alone outlasts the whole solve many times over
+        delay = 0.05
+
+        def slow_objective(*args):
+            time.sleep(delay)
+            return objective_composite(*args)
+
+        monkeypatch.setattr(wtv.forward_backward, "objective_composite", slow_objective)
+        truth, model, z = small_cs_problem()
+        cfg = SolverConfig(lam=1e-3, weight_mode="uniform", epsilon=1e-12, max_fb=5)
+        _, trace = afb_solve(model, z, cfg)
+        assert len(trace) == cfg.max_fb + 1
+        assert trace.cum_seconds[-1] < 0.5 * delay * len(trace)
 
     def test_no_accel_alpha_column_is_zero(self):
         truth, model, z = small_cs_problem()

@@ -238,12 +238,13 @@ def _reference_wsb(v, system, p, linear_solve):
 
 
 def _relaxed_contraction(rng, w, beta, factor):
-    """(gmean, rho) of a relaxed solve at kappa = factor.
+    """(gmean, rho, omega) of a relaxed solve at kappa = factor.
 
     gmean is the geometric mean of the residual ratios of one
-    fwsb_linear_solve run to tau = 1e-13 on a _random_system instance, and
-    rho the spectral radius of the unit step's iteration matrix
-    beta*theta*Lap_w, from the dense matrix.
+    fwsb_linear_solve run to tau = 1e-13 on a _random_system instance, rho
+    the spectral radius of the unit step's iteration matrix
+    beta*theta*Lap_w, from the dense matrix, and omega the system's own
+    relaxation factor.
     """
     system = FwsbSystem(w, beta, factor)
     rho = beta * system.theta * float(np.max(np.abs(np.linalg.eigvalsh(laplacian_matrix(w)))))
@@ -251,7 +252,7 @@ def _relaxed_contraction(rng, w, beta, factor):
     residuals = record_changes(system)
     _solve(fwsb_linear_solve, instance, SolverConfig(lam=0.1, tau=1e-13, max_inner=200), system)
     ratios = [b / a for a, b in zip(residuals, residuals[1:]) if a > 1e-13]
-    return float(np.exp(np.mean(np.log(ratios)))), rho
+    return float(np.exp(np.mean(np.log(ratios)))), rho, system.omega
 
 
 # (prepared system, linear solver) of each inner solver
@@ -301,9 +302,8 @@ class TestInnerSolvers:
         # iteration matrix beta*theta*Lap_w has spectral radius rho above
         # 1, so the unit step
         # diverges, yet the relaxed step still contracts within its radius
-        gmean, rho = _relaxed_contraction(rng, random_weights(16), 0.5, factor)
+        gmean, rho, omega = _relaxed_contraction(rng, random_weights(16), 0.5, factor)
         assert rho > 1.0
-        omega = 2 / (2 + factor)
         assert gmean <= max(1 - omega, abs(1 - omega - omega * rho)) + 0.05
 
     @pytest.mark.parametrize("n", [5, 16, 47])
@@ -326,9 +326,8 @@ class TestInnerSolvers:
         # residual ratios stay at or below the relaxed step's spectral
         # radius, max(1 - omega, |1 - omega - omega*rho|), with rho that of
         # the unit step's iteration matrix beta*theta*Lap_w
-        gmean, rho = _relaxed_contraction(rng, random_weights(16), 0.5, 0.9)
+        gmean, rho, omega = _relaxed_contraction(rng, random_weights(16), 0.5, 0.9)
         assert rho < 1.0
-        omega = 2 / (2 + 0.9)
         assert gmean <= max(1 - omega, abs(1 - omega - omega * rho)) + 0.05
 
     @pytest.mark.parametrize("n", [2, 3, 5, 40, 47])

@@ -344,6 +344,17 @@ class TestMain:
         assert "fwsb: psnr=" in capsys.readouterr().out
         assert (tmp_path / "out" / "summary.csv").is_file()
 
+    def test_subnormal_a_runs(self, tmp_path):
+        # any positive finite a is accepted: the weight k/(k + a + 1) stays
+        # in [0, 1), where the schedule t_n = (n + a + 1)/a would overflow
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(tiny_config_text(tmp_path / "out", a=1e-310))
+        assert main(["run", str(cfg_path)]) == 0
+        header, *rows = (tmp_path / "out" / "trace_fwsb.csv").read_text().splitlines()
+        column = header.split(",").index("alpha")
+        alphas = [float(row.split(",")[column]) for row in rows]
+        assert len(alphas) == 4 and all(0.0 <= alpha < 1.0 for alpha in alphas)
+
     def test_sweep_exit_zero(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(tiny_config_text(tmp_path / "out"))
@@ -522,7 +533,6 @@ class TestMain:
             # 2*sigma^2 underflows to 0, so the kernel's centre sample is 0/0
             ({"blur_sigma": 1e-170}, "blur_sigma"),
             ({"blur_sigma": 1e-170, "weight_mode": "uniform"}, "blur_sigma"),
-            ({"a": 1e-310}, "a="),  # t_n = (n + a + 1)/a overflows
             # 1/(beta*||Lap_w||_inf), the bound on theta, overflows
             ({"beta": 1e-320}, "beta"),
         ],
@@ -531,7 +541,7 @@ class TestMain:
             "blur_size", "blur_size_above_n", "noise", "seed",
             "beta", "mu_scale_inf", "mu_scale_overflow", "a_inf", "epsilon_inf", "tau_inf",
             "blur_sigma_inf", "r0_inf", "blur_sigma_underflow", "blur_sigma_underflow_uniform",
-            "a_overflow", "beta_subnormal",
+            "beta_subnormal",
         ],
     )
     def test_out_of_range_value_exits_two_before_writing(self, tmp_path, capsys, bad, named):

@@ -1,12 +1,11 @@
-"""PSNR, RMSE, and the wall-clock stopwatch."""
+"""PSNR and RMSE."""
 
 import math
-import time
 
 import numpy as np
 import pytest
 
-from wtv.metrics import Stopwatch, psnr, rmse
+from wtv.metrics import psnr, rmse
 
 
 class TestRmse:
@@ -74,29 +73,3 @@ class TestPsnr:
         x = np.full((4, 4), 1.0)
         u = np.full((4, 4), 2.0)
         assert psnr(u, x) != psnr(x, u)
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw.scope():
-            time.sleep(0.01)
-        assert sw.elapsed >= 0.009
-
-    def test_idle_near_zero(self):
-        sw = Stopwatch()
-        for _ in range(100):
-            with sw.scope():
-                pass
-        assert sw.elapsed < 0.05
-
-    def test_nested_scopes_sum_to_parent(self):
-        parent = Stopwatch()
-        child_a = Stopwatch()
-        child_b = Stopwatch()
-        with parent.scope():
-            with child_a.scope():
-                time.sleep(0.005)
-            with child_b.scope():
-                time.sleep(0.005)
-        assert child_a.elapsed + child_b.elapsed <= parent.elapsed + 1e-3
