@@ -58,9 +58,9 @@ class SolverConfig:
 
     lam may be left unset when r0 is given, in which case the coupling
     lam = r0 * ||adjoint(z)||_1 fixes it at startup.  The splitting
-    parameter theta is not a setting: each weight update builds a system
-    that sets it to KAPPA times the bound theta_bound computed from the
-    weights.
+    parameter theta is not a setting: the run's system sets it to KAPPA
+    times the bound theta_bound computed from the weights, at its build
+    and at each weight update.
 
     max_inner caps the iterations of each linear solve inside a Bregman
     sweep.  Its default of 1 makes every sweep one inner step: one relaxed
@@ -216,7 +216,8 @@ def _build_system(w: WeightField, cfg: SolverConfig):
     """The cfg.inner solver's system for w, at theta = KAPPA times w's bound.
 
     Its type, FwsbSystem or GaussSeidelSystem, picks the linear solver in
-    wsb_solve.
+    wsb_solve.  afb_solve builds one per run and refreshes it in place at
+    each weight update, so its workspace is allocated once.
     """
     return (FwsbSystem if cfg.inner == "fwsb" else GaussSeidelSystem)(w, cfg.beta, KAPPA)
 
@@ -292,7 +293,7 @@ def afb_solve(
         start = time.perf_counter()
         if cfg.weight_mode == "adaptive" and it > 1:
             w, mu = _build_weights(u, cfg, mu)
-            system = _build_system(w, cfg)
+            system.refresh(w)
         v = forward_step(u, model, atz, cfg.beta)
         u_tilde, m_inner, sweeps = wsb_solve(v, cfg, system)
         step = u_tilde - u_tilde_prev

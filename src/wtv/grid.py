@@ -9,8 +9,11 @@ A difference field is one stacked (2, n, n) array, x differences in
 plane 0 and y differences in plane 1: grad_w returns it and div_w takes
 it.  Both run on the flattened layout, where the x and y neighbours of
 pixel k sit at k+1 and k+n, so each term is one contiguous slice.
-grad_w takes an optional out= array to fill instead of allocating its
-result; it must be C-contiguous with the result's shape and dtype.
+grad_w and div_w take an optional out= array to fill instead of
+allocating their result, and div_w an optional scratch= image for its one
+temporary; each must be C-contiguous with the shape and dtype it holds.
+_aligned_empty allocates arrays whose data start on a cache line, for
+buffers that a solver allocates once and writes many times.
 
 div_w is the exact transpose of grad_w, so <grad_w(u), g> equals
 <u, div_w(g)> for every input.  The weighted Laplacian is the five-point
@@ -22,6 +25,7 @@ laplacian_inf_norm returns as the exact infinity norm.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -74,16 +78,33 @@ def unit_weights(n: int) -> WeightField:
     return WeightField(np.ones((n, n)), np.ones((n, n)))
 
 
-def _require_out(out, shape, dtype) -> np.ndarray:
+_ALIGN = 64  # bytes: one cache line, and one AVX-512 vector
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised float64 array of shape whose data start on a 64-byte boundary.
+
+    numpy's allocator guarantees 16 bytes, and an AVX-512 ufunc loop that
+    writes a misaligned output runs up to twice as long as an aligned one.
+    Nothing is written here, so fresh pages of a buffer that is never
+    written need not become resident.
+    """
+    nbytes = math.prod(shape) * 8
+    raw = np.empty(nbytes + _ALIGN, np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start : start + nbytes].view(np.float64).reshape(shape)
+
+
+def _require_out(out, shape, dtype, name="out") -> np.ndarray:
     """out, or a new array; a given out must be C-contiguous of shape and dtype.
 
-    grad_w writes through out.ravel(), which copies any other layout, so a
-    strided out would silently keep its old values.
+    grad_w and div_w write through out.ravel(), which copies any other
+    layout, so a strided out would silently keep its old values.
     """
     if out is None:
         return np.empty(shape, dtype)
     if out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous {dtype} array of shape {shape}")
+        raise ValueError(f"{name} must be a C-contiguous {dtype} array of shape {shape}")
     return out
 
 
@@ -111,7 +132,7 @@ def grad_w(u: np.ndarray, w: WeightField, out=None) -> np.ndarray:
     return g
 
 
-def div_w(g: np.ndarray, w: WeightField) -> np.ndarray:
+def div_w(g: np.ndarray, w: WeightField, out=None, scratch=None) -> np.ndarray:
     """Transpose of grad_w applied to a stacked (2, n, n) difference field.
 
     g has the shape grad_w returns, with w's side n; any other shape
@@ -122,22 +143,31 @@ def div_w(g: np.ndarray, w: WeightField) -> np.ndarray:
     then the same for wy*g[1] and a shift by n.  The shift by 1 adds each
     row's ignored last entry to the next row's first; that entry is -0.0
     by then, which leaves every sum, signed zeros included, as the
-    unshifted 2-D formula gives it.  Returns a new array; one scratch
-    array is allocated per call.
+    unshifted 2-D formula gives it.  The result is written into out when
+    given, and the weighted planes, one at a time, into scratch, an (n, n)
+    image; each is checked as grad_w's out is (see _require_out) and
+    allocated when not given.  scratch may be g[0] itself, which is read
+    before it is written, so a spent gradient field holds its own
+    temporary; out must not overlap g or scratch.  Returns the result, out
+    itself when given.
     """
     n = w.n
     if g.shape != (2, n, n):
         raise ValueError(f"field must be stacked (2, {n}, {n}) like grad_w's, got {g.shape}")
-    t = np.multiply(w.wx.ravel(), g[0].ravel())
+    dtype = np.result_type(g, w.wx)
+    res = _require_out(out, (n, n), dtype)
+    flat = res.ravel()
+    t = _require_out(scratch, (n, n), dtype, "scratch").ravel()
+    np.multiply(w.wx.ravel(), g[0].ravel(), out=t)
     t[n - 1 :: n] = 0.0
-    flat = np.negative(t)
+    np.negative(t, out=flat)
     t[n - 1 :: n] = -0.0
     flat[1:] += t[:-1]
     np.multiply(w.wy.ravel(), g[1].ravel(), out=t)
     t[-n:] = 0.0
     flat -= t
     flat[n:] += t[:-n]
-    return flat.reshape(n, n)
+    return res
 
 
 def _stencil_coeffs(w: WeightField):

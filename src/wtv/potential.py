@@ -51,16 +51,24 @@ def phi(t, p: LogExpParams):
     return 1.0 - np.log1p(np.exp(-s)) / _LN2
 
 
-def phi_prime(t, p: LogExpParams):
-    """Derivative of phi with respect to |t|; positive, even, overflow-safe."""
-    s = np.abs(t) / p.mu
-    e = np.exp(-s)
-    return e / ((1.0 + e) * (p.mu * _LN2))
+def phi_prime(t, p: LogExpParams, out=None):
+    """Derivative of phi with respect to |t|; positive, even, overflow-safe.
+
+    Written into out when given, which may be t itself.
+    """
+    s = np.divide(np.abs(t, out=out), p.mu, out=out)
+    e = np.exp(np.negative(s, out=out), out=out)
+    return np.divide(e, (1.0 + e) * (p.mu * _LN2), out=out)
 
 
 def compute_weights(u: np.ndarray, p: LogExpParams) -> WeightField:
-    """Weight field phi'(|forward differences of u|), floored to stay positive."""
-    wx, wy = np.maximum(phi_prime(grad_w(u, unit_weights(u.shape[0])), p), _WEIGHT_FLOOR)
+    """Weight field phi'(|forward differences of u|), floored to stay positive.
+
+    Evaluated in place on the stacked differences, so that a weight update
+    holds few image-sized temporaries beside the run's solver workspace.
+    """
+    t = grad_w(u, unit_weights(u.shape[0]))
+    wx, wy = np.maximum(phi_prime(t, p, out=t), _WEIGHT_FLOOR, out=t)
     return WeightField(wx, wy)
 
 

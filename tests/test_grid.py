@@ -17,6 +17,7 @@ from oracles import (
 from wtv.errors import ConfigError
 from wtv.grid import (
     WeightField,
+    _aligned_empty,
     div_w,
     grad_w,
     laplacian_inf_norm,
@@ -153,6 +154,24 @@ class TestFlatOperatorsMatch2DFormulas:
             ])
             assert div_w(g, w).tobytes() == div_w_2d(g, w).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_div_w_into_out_bytes(self, rng, random_weights, n):
+        # with out and scratch given, and with g's own first plane as the
+        # scratch, which div_w reads before it writes it
+        w = random_weights(n)
+        for signed_zeros in (False, True):
+            g = np.stack([
+                _signed_zeros(rng, (n, n)) if signed_zeros else rng.normal(size=(n, n))
+                for _ in range(2)
+            ])
+            ref = div_w_2d(g, w).tobytes()
+            out = np.full((n, n), np.nan)
+            assert div_w(g, w, out=out, scratch=np.full((n, n), np.nan)) is out
+            assert out.tobytes() == ref
+            out[...] = np.nan
+            div_w(g, w, out=out, scratch=g[0])
+            assert out.tobytes() == ref
+
     def test_div_w_keeps_negative_zero_at_row_starts(self):
         # 2-D: ((-wx*0) - wy*0) + wy*(-0.0) = -0.0 at pixel (1, 0)
         n = 3
@@ -178,15 +197,29 @@ class TestFlatOperatorsMatch2DFormulas:
              "field_size"],
     )
     def test_bad_out_rejected(self, rng, random_weights, make_out, field_shape):
-        # a bad out for grad_w, or a bad field for div_w
+        # a bad out for grad_w, or a bad out or scratch or field for div_w
         n = 4
         w = random_weights(n)
         if field_shape is None:
             with pytest.raises(ValueError, match="out must be"):
                 grad_w(rng.normal(size=(n, n)), w, out=make_out((2, n, n)))
+            g = rng.normal(size=(2, n, n))
+            with pytest.raises(ValueError, match="out must be"):
+                div_w(g, w, out=make_out((n, n)))
+            with pytest.raises(ValueError, match="scratch must be"):
+                div_w(g, w, scratch=make_out((n, n)))
         else:
             with pytest.raises(ValueError, match="field must be stacked"):
                 div_w(rng.normal(size=field_shape), w)
+
+
+class TestAlignedEmpty:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (5, 5), (2, 7, 7), (128, 128), (2, 64, 64)])
+    def test_data_start_on_a_cache_line(self, shape):
+        for _ in range(4):
+            a = _aligned_empty(shape)
+            assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+            assert a.flags.writeable and a.ctypes.data % 64 == 0
 
 
 class TestLaplacian:

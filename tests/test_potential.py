@@ -124,6 +124,21 @@ class TestComputeWeights:
             assert np.allclose(w.wx, phi_prime(np.abs(ux), p), rtol=1e-14)
             assert np.allclose(w.wy, phi_prime(np.abs(uy), p), rtol=1e-14)
 
+    def test_in_place_evaluation_equals_allocating_one(self, rng):
+        # compute_weights evaluates phi_prime into the differences
+        # themselves; the bytes equal phi_prime's allocating path
+        u = rng.normal(size=(12, 12))
+        u[:, 6:] += 50.0  # an edge whose weight reaches the floor
+        p = LogExpParams(mu=0.05)
+        t = grad_w(u, unit_weights(12))
+        expect = np.maximum(phi_prime(t, p), 1e-150)
+        w = compute_weights(u, p)
+        assert np.array_equal(np.stack((w.wx, w.wy)).view(np.int64), expect.view(np.int64))
+        assert np.all(w.wx[:, 5] == 1e-150)
+        fresh = phi_prime(grad_w(u, unit_weights(12)), p)
+        assert phi_prime(t, p, out=t) is t
+        assert np.array_equal(t.view(np.int64), fresh.view(np.int64))
+
     def test_strictly_positive_even_at_huge_gradients(self):
         u = np.zeros((8, 8))
         u[:, 4:] = 1e9  # would underflow phi_prime without the floor
